@@ -18,6 +18,7 @@ from .almostnormal import (
     ConicCoefficients,
     certify,
     commutation_identity_residual,
+    commutator_residual,
     conic_fit,
     leading_part_decomposition,
     perturbation_hermitian_rank_one,
@@ -106,6 +107,7 @@ __all__ = [
     "chebyshev_colleague",
     "commutation_identity_residual",
     "commutator",
+    "commutator_residual",
     "companion",
     "conic_fit",
     "curve_normal_plus_rank_one",

@@ -39,9 +39,10 @@ from .matcore import (
 class CommutatorCertificate:
     """Evidence that C acts as the commutator perturbation of A.
 
-    ``residual`` is ``||Delta(A) - (C A - A C)||_F / max(1, ||A||_F^2)`` with
-    Delta(A) = A^H A - A A^H.  ``range_basis`` spans S = range(Delta(A)) and
-    has ``range_dim`` columns (at most 2k for a valid rank-k perturbation).
+    ``residual`` is ``commutator_residual(A, C)``, the scale-invariant
+    ``||Delta(A) - (C A - A C)||_F / ||A||_F^2`` with Delta(A) = A^H A - A A^H
+    (zero for A = 0).  ``range_basis`` spans S = range(Delta(A)) and has
+    ``range_dim`` columns (at most 2k for a valid rank-k perturbation).
     """
 
     perturbation: np.ndarray
@@ -59,15 +60,10 @@ def certify(A, C, k: int, tol: float = DEFAULT_TOL) -> CommutatorCertificate:
     The certificate is valid when the relative residual is at most ``tol``
     and the numerical rank of C does not exceed ``k``.
     """
+    residual = commutator_residual(A, C)
     A = as_matrix(A, "A")
     C = as_matrix(C, "C")
-    if A.shape != C.shape or A.shape[0] != A.shape[1]:
-        raise DimensionError(
-            f"A and C must be square with equal shape, got {A.shape} and {C.shape}"
-        )
-    delta = commutator(A)
-    residual = fro(delta - (C @ A - A @ C)) / max(1.0, fro(A) ** 2)
-    basis, dim = orthonormal_range(delta, tol)
+    basis, dim = orthonormal_range(commutator(A), tol)
     rank_c = svd(C, tol).numerical_rank
     return CommutatorCertificate(
         perturbation=C,
@@ -78,6 +74,26 @@ def certify(A, C, k: int, tol: float = DEFAULT_TOL) -> CommutatorCertificate:
         perturbation_rank=int(rank_c),
         valid=bool(residual <= tol and rank_c <= k),
     )
+
+
+def commutator_residual(A, C) -> float:
+    """Relative residual of the commutator equation A^H A - A A^H = C A - A C.
+
+    Returns ``||(A^H A - A A^H) - (C A - A C)||_F / ||A||_F^2``, which is
+    unchanged when A and C are scaled together, and 0 for A = 0.  The
+    difference is formed as (A^H - C) A - A (A^H - C), two matrix products.
+    """
+    A = as_matrix(A, "A")
+    C = as_matrix(C, "C")
+    if A.shape != C.shape or A.shape[0] != A.shape[1]:
+        raise DimensionError(
+            f"A and C must be square with equal shape, got {A.shape} and {C.shape}"
+        )
+    scale = fro(A) ** 2
+    if scale == 0.0:
+        return 0.0
+    D = A.conj().T - C
+    return fro(D @ A - A @ D) / scale
 
 
 def perturbation_hermitian_rank_one(x, y) -> np.ndarray:

@@ -54,14 +54,37 @@ class BlockTridiagonalization:
         return tuple(out)
 
 
-def _project_out(U, cols, W, passes=2):
-    """Return W with its components along U[:, :cols] removed."""
-    if cols == 0:
-        return W
-    B = U[:, :cols]
-    for _ in range(passes):
-        W = W - B @ (B.conj().T @ W)
-    return W
+def _check_operands(M, Z, name: str):
+    """Checked ``(M, Z)``: square M, nonzero Z of its rows (1-D Z is one column)."""
+    M = as_matrix(M, name)
+    n = M.shape[0]
+    if M.shape[1] != n:
+        raise DimensionError(f"{name} must be square, got shape {M.shape}")
+    Z = np.asarray(Z, dtype=np.complex128)
+    if Z.ndim == 1:
+        Z = Z[:, None]
+    Z = as_matrix(Z, "Z")
+    if Z.shape[0] != n:
+        raise DimensionError(f"Z has {Z.shape[0]} rows, {name} is {n}x{n}")
+    if fro(Z) == 0.0:
+        raise ValueError("starting block Z is zero")
+    return M, Z
+
+
+def _append_range(B, cols, R, cutoff):
+    """Orthogonalize R against B[:, :cols] (two Gram-Schmidt passes) and write
+    its left singular vectors with singular values above ``cutoff`` into B
+    from column ``cols`` on.  Returns those singular values ``s`` and right
+    singular vectors ``Vh``: the new block B_new has ``B_new^H R = diag(s) Vh``.
+    """
+    if cols > 0:
+        P = B[:, :cols]
+        for _ in range(2):
+            R = R - P @ (P.conj().T @ R)
+    Q, s, Vh = np.linalg.svd(R, full_matrices=False)
+    keep = int(np.count_nonzero(s > cutoff))
+    B[:, cols : cols + keep] = Q[:, :keep]
+    return s[:keep], Vh[:keep]
 
 
 def block_lanczos(H, Z, tol: float = DEFAULT_TOL) -> BlockTridiagonalization:
@@ -93,70 +116,53 @@ def block_lanczos(H, Z, tol: float = DEFAULT_TOL) -> BlockTridiagonalization:
     ValueError
         If Z is identically zero.
     """
-    H = as_matrix(H, "H")
-    if H.shape[0] != H.shape[1]:
-        raise DimensionError(f"H must be square, got shape {H.shape}")
+    H, Z = _check_operands(H, Z, "H")
     n = H.shape[0]
+    if Z.shape[1] > n:
+        raise DimensionError(f"Z has {Z.shape[1]} > n = {n} columns")
     scale = fro(H)
     if fro(H - H.conj().T) > 1e-12 * max(scale, 1e-300):
         raise ContractError("H is not Hermitian to relative tolerance 1e-12")
-    Z = np.asarray(Z, dtype=np.complex128)
-    if Z.ndim == 1:
-        Z = Z[:, None]
-    Z = as_matrix(Z, "Z")
-    if Z.shape[0] != n:
-        raise DimensionError(f"Z has {Z.shape[0]} rows, H is {n}x{n}")
-    if Z.shape[1] > n:
-        raise DimensionError(f"Z has {Z.shape[1]} > n = {n} columns")
-    if fro(Z) == 0.0:
-        raise ValueError("starting block Z is zero")
 
     cutoff = tol * scale if scale > 0 else tol
 
     U = np.zeros((n, n), dtype=np.complex128)
+    T = np.zeros((n, n), dtype=np.complex128)
     Q0, s0 = orthonormal_range(Z, tol)
     U[:, :s0] = Q0
     cols = s0
-    # (start column, width, run index) per diagonal block
-    blocks: list[tuple[int, int, int]] = [(0, s0, 0)]
+    sizes = [s0]
     events: list[tuple[int, int]] = []
-    run = 0
 
-    while cols < n:
-        start, width, _ = blocks[-1]
-        W = H @ U[:, start : start + width]
-        W = _project_out(U, cols, W)
-        Qw, sw, _ = np.linalg.svd(W, full_matrices=False)
-        s_new = int(np.count_nonzero(sw > cutoff))
-        if s_new == 0:
-            events.append((len(blocks), cols))
-            run += 1
-            w = _restart_vector(U, cols, n, tol)
-            U[:, cols] = w
-            blocks.append((cols, 1, run))
-            cols += 1
-        else:
-            U[:, cols : cols + s_new] = Qw[:, :s_new]
-            blocks.append((cols, s_new, run))
-            cols += s_new
-
-    T = np.zeros((n, n), dtype=np.complex128)
-    for i, (start, width, run_i) in enumerate(blocks):
-        Ub = U[:, start : start + width]
-        Ak = Ub.conj().T @ H @ Ub
+    # Each pass applies H once to the newest block U_k, which gives its
+    # diagonal block A_k = U_k^H (H U_k) and, from the SVD of the projected
+    # product, the next block and B_k = U_{k+1}^H H U_k = diag(s) Vh.
+    start = 0
+    while True:
+        width = sizes[-1]
+        Uk = U[:, start : start + width]
+        HUk = H @ Uk
+        Ak = Uk.conj().T @ HUk
         T[start : start + width, start : start + width] = (Ak + Ak.conj().T) / 2
-        if i + 1 < len(blocks):
-            nstart, nwidth, nrun = blocks[i + 1]
-            if nrun == run_i:
-                Un = U[:, nstart : nstart + nwidth]
-                Bk = Un.conj().T @ H @ Ub
-                T[nstart : nstart + nwidth, start : start + width] = Bk
-                T[start : start + width, nstart : nstart + nwidth] = Bk.conj().T
+        if cols == n:
+            break
+        s, Vh = _append_range(U, cols, HUk, cutoff)
+        if s.size == 0:
+            events.append((len(sizes), cols))
+            U[:, cols] = _restart_vector(U, cols, n, tol)
+            sizes.append(1)
+        else:
+            Bk = s[:, None] * Vh
+            T[cols : cols + s.size, start : start + width] = Bk
+            T[start : start + width, cols : cols + s.size] = Bk.conj().T
+            sizes.append(s.size)
+        start = cols
+        cols += sizes[-1]
 
     return BlockTridiagonalization(
         basis=U,
         trid=T,
-        block_sizes=tuple(w for _, w, _ in blocks),
+        block_sizes=tuple(sizes),
         breakdown_events=tuple(events),
         restarted=bool(events),
     )
@@ -182,20 +188,10 @@ def krylov_levels(M, Z, j_max: int, tol: float = DEFAULT_TOL):
     level-j basis is ``B[:, :dims[j]]``; new directions are only ever appended,
     so level bases are prefixes of one another.
     """
-    M = as_matrix(M, "M")
-    if M.shape[0] != M.shape[1]:
-        raise DimensionError(f"M must be square, got shape {M.shape}")
-    n = M.shape[0]
-    Z = np.asarray(Z, dtype=np.complex128)
-    if Z.ndim == 1:
-        Z = Z[:, None]
-    Z = as_matrix(Z, "Z")
-    if Z.shape[0] != n:
-        raise DimensionError(f"Z has {Z.shape[0]} rows, M is {n}x{n}")
-    if fro(Z) == 0.0:
-        raise ValueError("starting block Z is zero")
+    M, Z = _check_operands(M, Z, "M")
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
+    n = M.shape[0]
 
     B = np.zeros((n, n), dtype=np.complex128)
     Q0, s0 = orthonormal_range(Z, tol)
@@ -203,27 +199,14 @@ def krylov_levels(M, Z, j_max: int, tol: float = DEFAULT_TOL):
     dims = [s0]
     f_start, f_width = 0, s0
     for _ in range(j_max):
-        if f_width == 0 or dims[-1] == n:
-            dims.append(dims[-1])
-            f_width = 0
-            continue
-        R = M @ B[:, f_start : f_start + f_width]
-        pre = float(np.linalg.norm(R, 2))
-        if pre == 0.0:
-            dims.append(dims[-1])
-            f_width = 0
-            continue
         c = dims[-1]
-        R = _project_out(B, c, R)
-        Qr, sr, _ = np.linalg.svd(R, full_matrices=False)
-        keep = int(np.count_nonzero(sr > tol * pre))
-        if keep == 0:
-            dims.append(dims[-1])
+        if f_width > 0 and c < n:
+            R = M @ B[:, f_start : f_start + f_width]
+            f_start = c
+            f_width = _append_range(B, c, R, tol * np.linalg.norm(R, 2))[0].size
+        else:
             f_width = 0
-            continue
-        B[:, c : c + keep] = Qr[:, :keep]
-        dims.append(c + keep)
-        f_start, f_width = c, keep
+        dims.append(c + f_width)
     return B, dims
 
 

@@ -1,12 +1,14 @@
 """Matrix Market array interchange.
 
-Matrices travel as Matrix Market dense arrays (``matrix array complex
-general``, lowercase header, column-major entry order) with 17 significant
-decimal digits per component, enough to round-trip binary64 exactly.  Real
-arrays are accepted on input for convenience.
+Matrices travel as Matrix Market dense arrays (``%%MatrixMarket matrix array
+complex general``, column-major entry order) with 17 significant decimal
+digits per component, enough to round-trip binary64 exactly.  Real arrays are
+accepted on input for convenience.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 
@@ -17,20 +19,20 @@ class MatrixMarketError(Exception):
     """The file is not a readable Matrix Market dense array."""
 
 
-_HEADER = "%%matrixmarket matrix array {field} general\n"
+_BANNER = "%%MatrixMarket matrix array complex general\n"
 
 
 def write_matrix(path, M) -> None:
     """Write a dense complex matrix as a Matrix Market array file."""
     M = as_matrix(M)
     rows, cols = M.shape
+    column = "%.16e %.16e\n" * rows
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(_HEADER.format(field="complex"))
+        fh.write(_BANNER)
         fh.write(f"{rows} {cols}\n")
         for j in range(cols):
-            for i in range(rows):
-                z = M[i, j]
-                fh.write(f"{z.real:.16e} {z.imag:.16e}\n")
+            parts = np.ascontiguousarray(M[:, j]).view(np.float64)
+            fh.write(column % tuple(parts.tolist()))
 
 
 def read_matrix(path) -> np.ndarray:
@@ -56,28 +58,24 @@ def read_matrix(path) -> np.ndarray:
             raise MatrixMarketError(f"{path}: malformed size line {line!r}") from exc
         if rows < 1 or cols < 1:
             raise MatrixMarketError(f"{path}: empty array {rows}x{cols}")
-        values = np.zeros(rows * cols, dtype=np.complex128)
-        count = 0
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("%"):
-                continue
-            if count >= rows * cols:
-                raise MatrixMarketError(f"{path}: more entries than {rows}x{cols}")
-            parts = line.split()
+        with warnings.catch_warnings():
+            # an empty body is reported below as a wrong entry count
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             try:
-                if field == "complex":
-                    values[count] = float(parts[0]) + 1j * float(parts[1])
-                else:
-                    values[count] = float(parts[0])
-            except (ValueError, IndexError) as exc:
-                raise MatrixMarketError(f"{path}: malformed entry {line!r}") from exc
-            count += 1
-        if count != rows * cols:
-            raise MatrixMarketError(
-                f"{path}: expected {rows * cols} entries, found {count}"
-            )
-        return values.reshape((rows, cols), order="F")
+                body = np.loadtxt(fh, comments="%", ndmin=2)
+            except ValueError as exc:
+                raise MatrixMarketError(f"{path}: malformed entry: {exc}") from exc
+    width = 2 if field == "complex" else 1
+    if body.shape != (rows * cols, width):
+        raise MatrixMarketError(
+            f"{path}: expected {rows * cols} {field} entries of {width} numbers, "
+            f"found {body.shape[0]} lines of {body.shape[1]}"
+        )
+    if field == "complex":
+        values = body[:, 0] + 1j * body[:, 1]
+    else:
+        values = body[:, 0].astype(np.complex128)
+    return values.reshape((rows, cols), order="F")
 
 
 def write_vector(path, v) -> None:

@@ -14,6 +14,7 @@ from blocktrid import (
     certify,
     commutation_identity_residual,
     commutator,
+    commutator_residual,
     companion,
     conic_fit,
     curve_normal_plus_rank_one,
@@ -85,6 +86,14 @@ class TestCertify:
         r1 = certify(A, C, 2).residual
         r2 = certify(A + (0.7 - 0.3j) * np.eye(n), C, 2).residual
         assert abs(r1 - r2) <= 1e-13
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e8])
+    def test_residual_is_scale_invariant(self, scale):
+        rng = np.random.default_rng(5)
+        A, C = crandn(rng, 8, 8), crandn(rng, 8, 8)
+        r = commutator_residual(A, C)
+        assert commutator_residual(scale * A, scale * C) == pytest.approx(r, rel=1e-12)
+        assert commutator_residual(np.zeros((8, 8)), C) == 0.0
 
     def test_rank_bound_in_validity(self):
         rng = np.random.default_rng(8)

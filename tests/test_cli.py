@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from blocktrid.almostnormal import certify
 from blocktrid.cli import main
 from blocktrid.mmio import read_matrix, write_matrix
 
@@ -183,6 +184,19 @@ class TestVerify:
         write_matrix(a, crandn(rng, 12, 12))
         write_matrix(c, np.outer(crandn(rng, 12), crandn(rng, 12).conj()))
         assert run("verify", str(a), str(c), "--k", "1") == 2
+        out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert out["residual"] > 1e-3
+
+    def test_scaled_dense_matrix_fails(self, tmp_path, capsys):
+        # the commutator of a dense matrix is far from zero at every scale
+        rng = np.random.default_rng(64)
+        A = 1e-6 * crandn(rng, 64, 64)
+        C = np.zeros((64, 64))
+        assert not certify(A, C, 2).valid
+        a, c = tmp_path / "A.mtx", tmp_path / "C.mtx"
+        write_matrix(a, A)
+        write_matrix(c, C)
+        assert run("verify", str(a), str(c), "--k", "2") == 2
         out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert out["residual"] > 1e-3
 

@@ -85,6 +85,37 @@ class TestBlockLanczos:
         for _, col in red.breakdown_events:
             assert np.linalg.norm(M[:col, col:]) <= 1e-10 * fro(H)
 
+    @pytest.mark.parametrize("n, seed", [(8, 1), (64, 163)])
+    def test_trid_exactly_zero_across_breakdowns(self, n, seed):
+        H, Z = fourier_sum(n, seed)
+        red = block_lanczos(H, Z)
+        assert red.breakdown_events
+        for _, col in red.breakdown_events:
+            assert np.all(red.trid[:col, col:] == 0)
+            assert np.all(red.trid[col:, :col] == 0)
+
+    def test_block_narrows_inside_run(self):
+        # a 4-fold eigenvalue caps the Krylov space of a generic 3-column
+        # block at dimension n - 1: the last block of the run has width 2
+        rng = np.random.default_rng(0)
+        lam = np.concatenate([np.zeros(4), np.arange(1.0, 12.0)])
+        n = lam.size
+        Q, _ = np.linalg.qr(crandn(rng, n, n))
+        H = (Q * lam) @ Q.conj().T
+        H = (H + H.conj().T) / 2
+        red = block_lanczos(H, crandn(rng, n, 3))
+        assert red.block_sizes == (3, 3, 3, 3, 2, 1)
+        assert red.breakdown_events == ((5, 14),)
+        U, T = red.basis, red.trid
+        c = red.block_boundaries
+        B = T[c[4] : c[5], c[3] : c[4]]
+        assert B.shape == (2, 3)
+        assert np.linalg.matrix_rank(B) == 2
+        assert fro(U.conj().T @ H @ U - T) <= 1e-10 * fro(H)
+        idx = np.repeat(np.arange(len(red.block_sizes)), red.block_sizes)
+        mask = np.abs(idx[:, None] - idx[None, :]) <= 1
+        assert np.all(T[~mask] == 0)
+
     def test_arrow_two_by_two_blocks(self):
         inst = arrow_hermitian_plus_rank_one(16, 1)
         x = inst.perturbation_data["x"]

@@ -1,6 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.io
 
+from blocktrid.cli import EXIT_IO, main
 from blocktrid.mmio import (
     MatrixMarketError,
     read_matrix,
@@ -25,11 +29,14 @@ def test_round_trip_exact(tmp_path, shape):
     assert np.array_equal(back, M)
 
 
-def test_header_is_lowercase(tmp_path):
+def test_banner_is_standard(tmp_path):
+    rng = np.random.default_rng(4)
+    M = crandn(rng, 6, 4)
     path = tmp_path / "m.mtx"
-    write_matrix(path, np.eye(2))
+    write_matrix(path, M)
     first = path.read_text().splitlines()[0]
-    assert first == "%%matrixmarket matrix array complex general"
+    assert first == "%%MatrixMarket matrix array complex general"
+    assert np.array_equal(scipy.io.mmread(path), M)
 
 
 def test_vector_round_trip(tmp_path):
@@ -89,6 +96,27 @@ def test_entry_count_mismatch_rejected(tmp_path):
     path.write_text("%%matrixmarket matrix array complex general\n2 2\n1.0 0.0\n")
     with pytest.raises(MatrixMarketError):
         read_matrix(path)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "2 1\n1.0 0.0\n2.0 x\n",  # malformed token
+        "2 1\n1.0\n2.0\n",  # one number per complex entry
+        "1 1\n1.0 0.0\n2.0 0.0\n",  # more entries than declared
+        "2 2\n",  # size line and no entries
+    ],
+    ids=["token", "one-number", "extra-entry", "no-body"],
+)
+def test_malformed_body_rejected(tmp_path, capsys, body):
+    path = tmp_path / "bad.mtx"
+    path.write_text("%%MatrixMarket matrix array complex general\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MatrixMarketError):
+            read_matrix(path)
+    assert main(["spy", str(path)]) == EXIT_IO
+    assert "error:" in capsys.readouterr().err
 
 
 def test_matrix_as_vector_rejected(tmp_path):
