@@ -27,16 +27,6 @@ class BlockProfile:
     max_block: int
     off_profile_norm: float
 
-    @property
-    def boundaries(self) -> tuple[tuple[int, int], ...]:
-        """Half-open (start, end) index ranges of the blocks."""
-        out = []
-        start = 0
-        for w in self.block_sizes:
-            out.append((start, start + w))
-            start += w
-        return tuple(out)
-
 
 def _envelope_mask(sizes, n: int) -> np.ndarray:
     idx = np.repeat(np.arange(len(sizes)), sizes)
@@ -134,6 +124,30 @@ class QrTrackReport:
     final_perturbation: np.ndarray
 
 
+def _outside_shapes(sizes):
+    """Index arrays of the blocks strictly above the block tridiagonal
+    envelope (column block at least two right of the row block), grouped by
+    block shape so one stacked SVD serves each shape.
+
+    Returns the number of such blocks and, per shape present, the positions
+    of its blocks in row-major order with broadcast row (g x r x 1) and
+    column (g x 1 x c) indices into the matrix.
+    """
+    sizes = np.asarray(sizes)
+    starts = np.cumsum(sizes) - sizes
+    bi, bj = np.triu_indices(sizes.size, 2)
+    rows_w, cols_w = sizes[bi], sizes[bj]
+    groups = []
+    for r in range(1, 5):
+        for c in range(1, 5):
+            pos = np.flatnonzero((rows_w == r) & (cols_w == c))
+            if pos.size:
+                rows = starts[bi[pos], None, None] + np.arange(r)[:, None]
+                cols = starts[bj[pos], None, None] + np.arange(c)
+                groups.append((pos, rows, cols))
+    return bi.size, groups
+
+
 def _wilkinson_shift(block) -> complex:
     (a, b), (c, d) = block
     tr = a + d
@@ -172,13 +186,7 @@ def qr_iteration_tracked(
             f"input is not block tridiagonal with blocks <= 4 "
             f"(detected maximum {profile.max_block}); reduce the matrix first"
         )
-    ranges = profile.boundaries
-    outside = [
-        (ra, rb)
-        for i, ra in enumerate(ranges)
-        for j, rb in enumerate(ranges)
-        if j >= i + 2
-    ]
+    n_outside, shapes = _outside_shapes(profile.block_sizes)
     scale = fro(A)
     cut = tol * scale
     eigs: list[complex] = []
@@ -194,11 +202,11 @@ def qr_iteration_tracked(
             m = 0
 
     def block_ranks():
-        out = []
-        for (r0, r1), (c0, c1) in outside:
-            sv = np.linalg.svd(A[r0:r1, c0:c1], compute_uv=False)
-            out.append(int(np.count_nonzero(sv > cut)))
-        return tuple(out)
+        ranks = np.zeros(n_outside, dtype=int)
+        for pos, rows, cols in shapes:
+            sv = np.linalg.svd(A[rows, cols], compute_uv=False)
+            ranks[pos] = np.count_nonzero(sv > cut, axis=-1)
+        return tuple(ranks.tolist())
 
     records = []
     deflate()
@@ -206,11 +214,15 @@ def qr_iteration_tracked(
         if m == 0:
             break
         shift = _wilkinson_shift(A[m - 2 : m, m - 2 : m])
+        X = A[:m, :m].copy()
+        X.flat[:: m + 1] -= shift
         try:
-            Q, R = np.linalg.qr(A[:m, :m] - shift * np.eye(m))
+            Q, R = np.linalg.qr(X)
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise ContractError(f"QR factorization failed: {exc}") from exc
-        A[:m, :m] = R @ Q + shift * np.eye(m)
+        RQ = R @ Q
+        RQ.flat[:: m + 1] += shift
+        A[:m, :m] = RQ
         A[:m, m:] = Q.conj().T @ A[:m, m:]
         A[m:, :m] = A[m:, :m] @ Q
         C[:m, :m] = Q.conj().T @ C[:m, :m] @ Q
