@@ -64,6 +64,7 @@ from .matcore import (
     commutator,
     fro,
     hermitian_part,
+    numerical_rank,
     orthonormal_range,
     subspace_inclusion_residual,
     svd,
@@ -118,6 +119,7 @@ __all__ = [
     "krylov_inclusion_check",
     "krylov_levels",
     "leading_part_decomposition",
+    "numerical_rank",
     "off_profile_residual",
     "orthonormal_range",
     "perturbation_hermitian_rank_one",

@@ -30,6 +30,7 @@ from .matcore import (
     commutator,
     fro,
     hermitian_part,
+    numerical_rank,
     orthonormal_range,
     svd,
 )
@@ -64,7 +65,7 @@ def certify(A, C, k: int, tol: float = DEFAULT_TOL) -> CommutatorCertificate:
     A = as_matrix(A, "A")
     C = as_matrix(C, "C")
     basis, dim = orthonormal_range(commutator(A), tol)
-    rank_c = svd(C, tol).numerical_rank
+    rank_c = numerical_rank(C, tol)
     return CommutatorCertificate(
         perturbation=C,
         claimed_rank=int(k),

@@ -403,6 +403,7 @@ def cmd_qr_track(args, argv) -> int:
             args.perturbation: _sha256(args.perturbation),
         },
         "initial_block_sizes": list(report.initial_profile.block_sizes),
+        "discarded_norm": report.discarded_norm,
         "iterations": [
             {
                 "step": rec.step,

@@ -95,21 +95,35 @@ class SvdResult:
     numerical_rank: int
 
 
-def svd(M, tol: float = DEFAULT_TOL) -> SvdResult:
-    """Full SVD with a numerical rank decision at relative tolerance ``tol``."""
+def _ranked_svd(M, tol: float, compute_uv: bool):
+    """``np.linalg.svd`` of a validated M, and the number of singular values
+    above ``tol * max(s)`` (zero for the zero matrix)."""
     M = as_matrix(M)
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     try:
-        U, s, Vh = np.linalg.svd(M, full_matrices=True)
+        out = np.linalg.svd(M, full_matrices=True, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"SVD iteration failed to converge for a {M.shape[0]}x{M.shape[1]} "
             f"matrix with Frobenius norm {fro(M):.3e}"
         ) from exc
+    s = out[1] if compute_uv else out
     smax = float(s[0]) if s.size else 0.0
     rank = int(np.count_nonzero(s > tol * smax)) if smax > 0 else 0
+    return out, rank
+
+
+def svd(M, tol: float = DEFAULT_TOL) -> SvdResult:
+    """Full SVD with a numerical rank decision at relative tolerance ``tol``."""
+    (U, s, Vh), rank = _ranked_svd(M, tol, compute_uv=True)
     return SvdResult(U, s, Vh.conj().T, rank)
+
+
+def numerical_rank(M, tol: float = DEFAULT_TOL) -> int:
+    """Number of singular values above ``tol * max(s)``, the rank rule of
+    :func:`svd`, computed from the singular values alone."""
+    return _ranked_svd(M, tol, compute_uv=False)[1]
 
 
 def orthonormal_range(Z, tol: float = DEFAULT_TOL):

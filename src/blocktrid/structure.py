@@ -63,20 +63,24 @@ def block_profile(T, tol: float = DEFAULT_TOL) -> BlockProfile:
     thr = tol * fro(T)
     low = _column_reach(T, thr)
     # M[c] = furthest row reached by any column left of boundary c
-    M = np.full(n + 1, -1, dtype=int)
-    if n > 0:
-        M[1:] = np.maximum.accumulate(low)
-    # f[c] = smallest achievable maximum block size on [c, n)
-    f = np.zeros(n + 1, dtype=int)
+    M = [-1] + np.maximum.accumulate(low).tolist()
+    # f[c] = smallest achievable maximum block size on [c, n).  The scan over
+    # the next boundary cp stops once cp - c reaches the best value found:
+    # max(cp - c, f[cp]) cannot go lower from there on.
+    f = [0] * (n + 1)
     for c in range(n - 1, -1, -1):
-        lo = max(c + 1, int(M[c]) + 1)
-        f[c] = min(max(cp - c, int(f[cp])) for cp in range(lo, n + 1))
+        best = n - c
+        for cp in range(max(c + 1, M[c] + 1), n):
+            if cp - c >= best:
+                break
+            best = min(best, max(cp - c, f[cp]))
+        f[c] = best
     bounds = [0]
     c = 0
     while c < n:
-        lo = max(c + 1, int(M[c]) + 1)
+        lo = max(c + 1, M[c] + 1)
         for cp in range(lo, n + 1):
-            if max(cp - c, int(f[cp])) == f[c]:
+            if max(cp - c, f[cp]) == f[c]:
                 bounds.append(cp)
                 c = cp
                 break
@@ -117,11 +121,15 @@ class QrStepRecord:
 
 @dataclass(frozen=True)
 class QrTrackReport:
+    """``discarded_norm`` is the Frobenius norm of the fill below the initial
+    envelope that was zeroed before the first step."""
+
     iterations: tuple[QrStepRecord, ...]
     converged_eigenvalues: tuple[complex, ...]
     initial_profile: BlockProfile
     final_matrix: np.ndarray
     final_perturbation: np.ndarray
+    discarded_norm: float
 
 
 def _outside_shapes(sizes):
@@ -163,7 +171,11 @@ def qr_iteration_tracked(
     """Run explicit Wilkinson-shifted QR steps, tracking rank structure.
 
     The input must already be block tridiagonal with blocks of size at most 4
-    (reduce it first otherwise).  Each step factors A_k - shift I of the
+    (reduce it first otherwise).  Entries of A below the detected envelope
+    (row block at least two below the column block) are zeroed before the
+    first step, and their Frobenius norm is reported as ``discarded_norm``:
+    explicit QR amplifies such roundoff fill step by step until the blocks
+    outside the profile lose their low rank.  Each step factors A_k - shift I of the
     active window, forms the similarity A_{k+1} = Q^H A_k Q, and applies the
     same congruence to the perturbation C_k, which preserves the commutator
     relation.  Per step the report records the numerical rank of every upper
@@ -186,9 +198,11 @@ def qr_iteration_tracked(
             f"input is not block tridiagonal with blocks <= 4 "
             f"(detected maximum {profile.max_block}); reduce the matrix first"
         )
+    cut = tol * fro(A)
+    below = np.tril(~_envelope_mask(profile.block_sizes, n))
+    discarded = fro(A[below])
+    A[below] = 0
     n_outside, shapes = _outside_shapes(profile.block_sizes)
-    scale = fro(A)
-    cut = tol * scale
     eigs: list[complex] = []
     m = n
 
@@ -245,4 +259,5 @@ def qr_iteration_tracked(
         initial_profile=profile,
         final_matrix=A,
         final_perturbation=C,
+        discarded_norm=discarded,
     )

@@ -255,6 +255,20 @@ class TestQrTrack:
             assert all(r <= 2 for r in rec["off_profile_block_ranks"])
             assert rec["c_residual"] <= 1e-8
 
+    def test_circle_instance_keeps_rank_bound(self, tmp_path):
+        gen, red = tmp_path / "gen", tmp_path / "red"
+        run("generate", "--family", "curve", "--curve", "circle", "--n", "64",
+            "--seed", "324", "--out", str(gen))
+        run("reduce", str(gen), "--out", str(red))
+        out = tmp_path / "track.json"
+        assert run("qr-track", str(red / "A_trid.mtx"), str(red / "C_trid.mtx"),
+                   "--steps", "30", "--out", str(out)) == 0
+        payload = load_report(out)
+        assert len(payload["iterations"]) == 30
+        assert 0.0 < payload["discarded_norm"] <= 1e-10
+        assert all(max(rec["off_profile_block_ranks"]) <= 2
+                   for rec in payload["iterations"])
+
     def test_dense_input_names_reduce(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
         a, c = tmp_path / "A.mtx", tmp_path / "C.mtx"

@@ -9,6 +9,7 @@ from blocktrid import (
     commutator,
     fro,
     hermitian_part,
+    numerical_rank,
     orthonormal_range,
     subspace_inclusion_residual,
     svd,
@@ -166,6 +167,23 @@ class TestSvd:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             svd(np.eye(2), tol=0.0)
+
+
+class TestNumericalRank:
+    @pytest.mark.parametrize("rank", range(6))
+    def test_matches_svd_rule(self, rank):
+        rng = np.random.default_rng(rank)
+        M = crandn(rng, 8, rank) @ crandn(rng, rank, 6)
+        assert numerical_rank(M) == svd(M).numerical_rank == ge_rank(M) == rank
+
+    def test_relative_to_largest_singular_value(self):
+        M = np.diag([1e-20, 1e-31, 0.0])
+        assert numerical_rank(M) == 1
+        assert numerical_rank(M, tol=1e-12) == 2
+
+    def test_bad_tol(self):
+        with pytest.raises(ValueError):
+            numerical_rank(np.eye(2), tol=-1.0)
 
 
 class TestOrthonormalRange:

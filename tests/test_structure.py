@@ -9,11 +9,14 @@ from blocktrid import (
     arrow_hermitian_plus_rank_one,
     block_lanczos,
     block_profile,
+    commutator,
     companion,
     fro,
     hermitian_part,
     off_profile_residual,
+    orthonormal_range,
     qr_iteration_tracked,
+    random_unitary_plus_rank_one,
 )
 
 
@@ -30,6 +33,40 @@ def reduced_companion(n=32, seed=12345):
     A_trid = U.conj().T @ inst.matrix @ U
     C_trid = U.conj().T @ inst.perturbation_data["C"] @ U
     return A_trid, C_trid
+
+
+def reduced_unitary(n, seed):
+    """A unitary-plus-rank-one instance reduced from its commutator range,
+    as ``blocktrid reduce`` does for the unitary family."""
+    inst = random_unitary_plus_rank_one(n, seed)
+    Z, dim = orthonormal_range(commutator(inst.matrix))
+    U = block_lanczos(hermitian_part(inst.matrix), Z[:, : min(dim, 4)]).basis
+    A_trid = U.conj().T @ inst.matrix @ U
+    C_trid = U.conj().T @ inst.perturbation_data["C"] @ U
+    return A_trid, C_trid
+
+
+def full_scan_partition(T, tol):
+    """The block_profile dynamic program with every admissible next boundary
+    scanned, O(n^2) per matrix."""
+    n = T.shape[0]
+    big = np.maximum(np.abs(T), np.abs(T).T) > tol * fro(T)
+    reach = [max([j] + np.flatnonzero(big[:, j]).tolist()) for j in range(n)]
+    M = [-1] + list(itertools.accumulate(reach, max))
+    f = [0] * (n + 1)
+    for c in range(n - 1, -1, -1):
+        f[c] = min(max(cp - c, f[cp]) for cp in range(max(c + 1, M[c] + 1), n + 1))
+    bounds = [0]
+    while bounds[-1] < n:
+        c = bounds[-1]
+        bounds.append(
+            next(
+                cp
+                for cp in range(max(c + 1, M[c] + 1), n + 1)
+                if max(cp - c, f[cp]) == f[c]
+            )
+        )
+    return tuple(np.diff(bounds).tolist())
 
 
 def brute_force_min_max_block(T, thr):
@@ -94,6 +131,20 @@ class TestBlockProfile:
         thr = 1e-10 * fro(T)
         assert p.max_block == brute_force_min_max_block(T, thr)
         assert off_profile_residual(T, p) <= thr * n
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 121, 200])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_full_scan(self, n, seed):
+        rng = np.random.default_rng([n, seed])
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(min(int(rng.integers(1, 7)), n - sum(sizes)))
+        idx = np.repeat(np.arange(len(sizes)), sizes)
+        T = crandn(rng, n, n) * (np.abs(idx[:, None] - idx[None, :]) <= 1)
+        # scattered fill far from the diagonal, and noise below the threshold
+        T[rng.integers(0, n, 3), rng.integers(0, n, 3)] += 1.0
+        T += 1e-14 * crandn(rng, n, n)
+        assert block_profile(T).block_sizes == full_scan_partition(T, 1e-10)
 
     def test_monotone_in_tolerance(self):
         A_trid, _ = reduced_companion()
@@ -198,6 +249,59 @@ class TestQrIterationTracked:
         r0 = svd(C_trid).numerical_rank
         rep = qr_iteration_tracked(A_trid, C_trid, 20, tol=1e-9)
         assert svd(rep.final_perturbation).numerical_rank == r0
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_unitary_rank_bound_at_scale(self, n):
+        A_trid, C_trid = reduced_unitary(n, 1)
+        rep = qr_iteration_tracked(A_trid, C_trid, 30)
+        assert len(rep.iterations) == 30
+        for rec in rep.iterations:
+            assert max(rec.off_profile_block_ranks) <= 2
+            assert rec.c_residual <= 1e-10
+        assert 0.0 < rep.discarded_norm <= 1e-10 * fro(A_trid)
+
+    def test_fill_below_envelope_is_discarded(self):
+        n = 8
+        T = (
+            np.diag(np.arange(1.0, n + 1))
+            + np.diag(np.full(n - 1, 0.5), 1)
+            + np.diag(np.full(n - 1, 0.5), -1)
+        ).astype(complex)
+        T[5, 1] = 3e-14j
+        T[1, 5] = 4e-14
+        rep = qr_iteration_tracked(T, np.zeros((n, n), dtype=complex), 0)
+        assert rep.initial_profile.block_sizes == (1,) * n
+        assert rep.discarded_norm == 3e-14
+        assert rep.final_matrix[5, 1] == 0
+        assert rep.final_matrix[1, 5] == 4e-14
+
+    def test_stacked_ranks_match_per_block_svds(self):
+        rng = np.random.default_rng(0)
+        sizes = (1, 2, 3, 4, 2, 1, 4, 3, 1, 3, 2, 4, 1, 1, 2)
+        idx = np.repeat(np.arange(len(sizes)), sizes)
+        T = crandn(rng, idx.size, idx.size) * (np.abs(idx[:, None] - idx[None, :]) <= 1)
+        rep = qr_iteration_tracked(T, np.zeros_like(T), 30, tol=1e-10)
+        assert rep.initial_profile.block_sizes == sizes
+        assert rep.converged_eigenvalues
+        starts = np.cumsum(sizes) - sizes
+        expected = tuple(
+            int(
+                np.count_nonzero(
+                    np.linalg.svd(
+                        rep.final_matrix[r0 : r0 + sizes[i], c0 : c0 + sizes[j]],
+                        compute_uv=False,
+                    )
+                    > 1e-10 * fro(T)
+                )
+            )
+            for i, r0 in enumerate(starts)
+            for j, c0 in enumerate(starts)
+            if j >= i + 2
+        )
+        ranks = rep.iterations[-1].off_profile_block_ranks
+        assert ranks == expected
+        assert all(type(r) is int for r in ranks)
+        assert set(ranks) == {1, 2, 3, 4}
 
     def test_dense_input_rejected(self):
         rng = np.random.default_rng(2)
