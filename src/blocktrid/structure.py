@@ -172,18 +172,19 @@ def qr_iteration_tracked(
 
     The input must already be block tridiagonal with blocks of size at most 4
     (reduce it first otherwise).  Entries of A below the detected envelope
-    (row block at least two below the column block) are zeroed before the
-    first step, and their Frobenius norm is reported as ``discarded_norm``:
-    explicit QR amplifies such roundoff fill step by step until the blocks
-    outside the profile lose their low rank.  Each step factors A_k - shift I of the
-    active window, forms the similarity A_{k+1} = Q^H A_k Q, and applies the
-    same congruence to the perturbation C_k, which preserves the commutator
-    relation.  Per step the report records the numerical rank of every upper
-    triangular block strictly outside the initial profile (row block index at
-    least two below the column block index, enumerated row-major) at cutoff
-    tol * ||A_0||_F.  Trailing eigenvalues deflate when the last active row
-    below the diagonal falls under the same cutoff; the iteration stops early
-    once everything has converged.
+    (block row index at least two greater than the block column index) are
+    zeroed before the first step and their Frobenius norm is reported as
+    ``discarded_norm``: explicit QR amplifies such roundoff fill step by step
+    until the blocks outside the profile lose their low rank.  Each step
+    factors A_k - shift I of the active window, forms the similarity
+    A_{k+1} = Q^H A_k Q, and applies the same congruence to the perturbation
+    C_k, which preserves the commutator relation.  Per step the report
+    records the numerical rank of every upper triangular block strictly
+    outside the initial profile (row block index at least two below the
+    column block index, enumerated row-major) at cutoff tol * ||A_0||_F,
+    with one stacked SVD per block shape.  Trailing eigenvalues deflate when
+    the last active row below the diagonal falls under the same cutoff; the
+    iteration stops early once everything has converged.
     """
     A = as_matrix(A0, "A0").copy()
     C = as_matrix(C0, "C0").copy()
@@ -228,15 +229,14 @@ def qr_iteration_tracked(
         if m == 0:
             break
         shift = _wilkinson_shift(A[m - 2 : m, m - 2 : m])
-        X = A[:m, :m].copy()
-        X.flat[:: m + 1] -= shift
+        diag = np.arange(m)
+        A[diag, diag] -= shift
         try:
-            Q, R = np.linalg.qr(X)
+            Q, R = np.linalg.qr(A[:m, :m])
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise ContractError(f"QR factorization failed: {exc}") from exc
-        RQ = R @ Q
-        RQ.flat[:: m + 1] += shift
-        A[:m, :m] = RQ
+        A[:m, :m] = R @ Q
+        A[diag, diag] += shift
         A[:m, m:] = Q.conj().T @ A[:m, m:]
         A[m:, :m] = A[m:, :m] @ Q
         C[:m, :m] = Q.conj().T @ C[:m, :m] @ Q
