@@ -277,10 +277,11 @@ def conic_fit(eigenvalues, tol: float = DEFAULT_TOL) -> ConicCoefficients:
     y = (z - conj(z)) / (2i).  A nullspace of dimension two or more (always
     the case for fewer than five points) sets ``degenerate_fit``; ties are
     resolved by taking a purely linear member of the nullspace when one
-    exists (collinear points then yield the line itself, so callers see the
-    linear-variety signal downstream), otherwise the combination with the
-    largest |a + b|.  The sign is normalized so the first nonvanishing
-    coefficient is positive.
+    exists, otherwise the combination with the largest |a + b|.  This is the
+    one place where a line is recognized: the linear member is returned with
+    its quadratic part set exactly to zero and renormalized, so
+    ``rotate_leading_form`` raises ``LinearVarietyError`` for it.  The sign is
+    normalized so the first nonvanishing coefficient is positive.
 
     Raises ``ConicFitError`` when all points coincide or when the best fit
     leaves a residual above ``tol``.
@@ -308,8 +309,10 @@ def conic_fit(eigenvalues, tol: float = DEFAULT_TOL) -> ConicCoefficients:
         sq_full[: sq.size] = sq
         if sq_full[-1] <= 1e-8:
             # A combination with vanishing quadratic part exists: the points
-            # admit a purely linear fit, so return the line itself.
+            # admit a purely linear fit, so return the line itself, exactly.
             coef = W @ vq[-1]
+            coef[:3] = 0.0
+            coef /= np.linalg.norm(coef)
         else:
             q = W[0, :] + W[1, :]
             norm = np.linalg.norm(q)
@@ -341,18 +344,15 @@ def conic_fit(eigenvalues, tol: float = DEFAULT_TOL) -> ConicCoefficients:
     )
 
 
-def _leading_magnitude(c: ConicCoefficients, theta: float) -> float:
-    rot = np.exp(-2j * theta)
-    return abs(c.a20 * rot + c.a02 / rot - c.a11)
-
-
 def rotate_leading_form(c: ConicCoefficients) -> ConicCoefficients:
     """Rotate the spectrum so the leading form a20 + a02 - a11 is nondegenerate.
 
-    Returns coefficients for the curve of e^{i theta} z with theta chosen so
-    that |a20' + a02' - a11'| is at least one tenth of |a20| + |a02| + |a11|;
-    theta = 0 when the input already qualifies.  The angle is located on a
-    64-point grid over [0, pi) and refined by golden-section search.
+    Returns coefficients for the curve of e^{i theta} z.  The rotation maps
+    a20 to a20 e^{-2i theta} and keeps a11, so the leading form becomes
+    2 |a20| cos(arg a20 - 2 theta) - a11.  theta = 0 when that is already at
+    least one tenth of |a20| + |a02| + |a11|; otherwise theta is the
+    maximizer (arg a20 - pi [a11 > 0]) / 2 mod pi, where the leading form
+    reaches 2 |a20| + |a11|.
 
     Raises ``LinearVarietyError`` when a20 = a02 = a11 = 0, in which case the
     curve is a line and the Hermitian-plus-rank-one treatment applies.
@@ -363,28 +363,9 @@ def rotate_leading_form(c: ConicCoefficients) -> ConicCoefficients:
             "quadratic part vanishes: the spectrum lies on a line; "
             "use the Hermitian-plus-rank-one path"
         )
-    if _leading_magnitude(c, 0.0) >= 0.1 * base:
+    if abs(c.a20 + c.a02 - c.a11) >= 0.1 * base:
         return dataclasses.replace(c, theta=0.0)
-    grid = np.linspace(0.0, np.pi, 64, endpoint=False)
-    values = [_leading_magnitude(c, t) for t in grid]
-    k = int(np.argmax(values))
-    lo = grid[k] - np.pi / 64
-    hi = grid[k] + np.pi / 64
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    t1 = hi - invphi * (hi - lo)
-    t2 = lo + invphi * (hi - lo)
-    f1 = _leading_magnitude(c, t1)
-    f2 = _leading_magnitude(c, t2)
-    for _ in range(48):
-        if f1 < f2:
-            lo, t1, f1 = t1, t2, f2
-            t2 = lo + invphi * (hi - lo)
-            f2 = _leading_magnitude(c, t2)
-        else:
-            hi, t2, f2 = t2, t1, f1
-            t1 = hi - invphi * (hi - lo)
-            f1 = _leading_magnitude(c, t1)
-    theta = float((lo + hi) / 2)
+    theta = float((np.angle(c.a20) - np.pi * (c.a11.real > 0)) / 2 % np.pi)
     rot = np.exp(-1j * theta)
     a20 = c.a20 * rot * rot
     a10 = c.a10 * rot

@@ -34,15 +34,7 @@ from .almostnormal import (
     starting_block_curve,
     starting_block_rank_one,
 )
-from .errors import (
-    ConicFitError,
-    ContractError,
-    DimensionError,
-    GenerationError,
-    LinearVarietyError,
-    SingularityError,
-    SolverFailure,
-)
+from .errors import ContractError, GenerationError, LinearVarietyError, SolverFailure
 from .generators import (
     arrow_hermitian_plus_rank_one,
     chebyshev_colleague,
@@ -297,15 +289,14 @@ def cmd_reduce(args, argv) -> int:
                 "pass --start with an explicit block file instead"
             )
         Z, phase = _starting_block(manifest, in_dir, A)
-    H = hermitian_part(phase * A)
-    red = block_lanczos(H, Z, tol=args.tol)
+    red = block_lanczos(hermitian_part(phase * A), Z, tol=args.tol)
     U, T = red.basis, red.trid
     n = A.shape[0]
     norm_a = fro(A)
     A_trid = U.conj().T @ A @ U
     residuals = {
         "unitarity": fro(U.conj().T @ U - np.eye(n)) / np.sqrt(n),
-        "similarity": fro(U.conj().T @ H @ U - T) / max(norm_a, 1e-300),
+        "similarity": fro(hermitian_part(phase * A_trid) - T) / max(norm_a, 1e-300),
         "off_profile": off_profile_residual(A_trid, red.block_sizes) / max(norm_a, 1e-300),
         "certificate": None,
     }
@@ -349,11 +340,7 @@ def cmd_verify(args, argv) -> int:
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
-        "residual": cert.residual,
-        "perturbation_rank": cert.perturbation_rank,
-        "claimed_rank": cert.claimed_rank,
-        "range_dim": cert.range_dim,
-        "valid": cert.valid,
+        **_cert_to_json(cert),
     }
     print(json.dumps(report, sort_keys=True))
     return EXIT_OK if cert.valid else EXIT_VERIFY
@@ -496,16 +483,7 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"error: manifest is missing the {exc} field", file=sys.stderr)
         return EXIT_CONTRACT
-    except (
-        ContractError,
-        DimensionError,
-        ConicFitError,
-        LinearVarietyError,
-        SingularityError,
-        GenerationError,
-        SolverFailure,
-        ValueError,
-    ) as exc:
+    except (ValueError, GenerationError, SolverFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
 

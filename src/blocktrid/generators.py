@@ -24,6 +24,7 @@ from .almostnormal import (
 )
 from .errors import GenerationError, SingularityError, SolverFailure
 from .matcore import as_matrix, fro, svd
+from .structure import _envelope_mask
 
 FAMILIES = (
     "arrow_h1",
@@ -352,8 +353,7 @@ def _gauss_newton(X, C, max_iters: int, damping: float = 1e-8):
 
 def _block_tridiagonal_init(rng, n: int) -> np.ndarray:
     X = _crandn(rng, n, n)
-    idx = np.arange(n) // 2
-    X[np.abs(idx[:, None] - idx[None, :]) > 1] = 0.0
+    X[~_envelope_mask((2,) * (n // 2) + (1,) * (n % 2), n)] = 0.0
     return X
 
 

@@ -349,6 +349,14 @@ class TestRotation:
             abs(c.a20) + abs(c.a02) + abs(c.a11)
         )
 
+    def test_parabola_rotation_is_closed_form(self):
+        t = np.linspace(-1.0, 1.0, 9)
+        c = conic_fit(t + 1j * t * t)
+        rot = rotate_leading_form(c)
+        assert rot.theta == pytest.approx(np.pi / 2, abs=1e-15)
+        base = abs(c.a20) + abs(c.a02) + abs(c.a11)
+        assert abs(rot.a20 + rot.a02 - rot.a11) == pytest.approx(base, rel=1e-15)
+
     def test_linear_variety_signal(self):
         c = make_conic(0j, 0j, 0j, a10=1.0 + 0j, a01=1.0 + 0j)
         with pytest.raises(LinearVarietyError):

@@ -94,10 +94,11 @@ class TestReduce:
         assert all(s <= 4 for s in sizes[1:])
         assert report["rotation_phase"] != [1.0, 0.0]
 
-    def test_curve_line_routes_to_hermitian_path(self, tmp_path):
+    @pytest.mark.parametrize("n, seed", [(16, 2), (64, 159)])
+    def test_curve_line_routes_to_hermitian_path(self, tmp_path, n, seed):
         gen, red = tmp_path / "gen", tmp_path / "red"
         run("generate", "--family", "curve", "--curve", "line",
-            "--n", "16", "--seed", "2", "--out", str(gen))
+            "--n", str(n), "--seed", str(seed), "--out", str(gen))
         assert run("reduce", str(gen), "--out", str(red)) == 0
         report = load_report(red / "report.json")
         assert max(report["block_sizes"]) <= 2

@@ -196,8 +196,13 @@ class TestCurveNormal:
         assert inst.certificate is not None
         assert inst.certificate.residual <= 1e-10
 
-    def test_line_routes_to_hermitian_path(self):
-        inst = curve_normal_plus_rank_one(16, "line", 2)
+    @pytest.mark.parametrize(
+        "n, seed",
+        [(16, 2)] + [(64, s) for s in (30, 32, 35, 39, 51, 59, 70, 93, 113, 119,
+                                       124, 131, 137, 138, 141, 145)],
+    )
+    def test_line_routes_to_hermitian_path(self, n, seed):
+        inst = curve_normal_plus_rank_one(n, "line", seed)
         with pytest.raises(LinearVarietyError):
             rotate_leading_form(inst.conic)
         assert inst.certificate is not None
