@@ -26,6 +26,7 @@ from .matcore import (
     DEFAULT_TOL,
     antihermitian_part,
     as_matrix,
+    as_square,
     as_vector,
     commutator,
     fro,
@@ -43,7 +44,11 @@ class CommutatorCertificate:
     ``residual`` is ``commutator_residual(A, C)``, the scale-invariant
     ``||Delta(A) - (C A - A C)||_F / ||A||_F^2`` with Delta(A) = A^H A - A A^H
     (zero for A = 0).  ``range_basis`` spans S = range(Delta(A)) and has
-    ``range_dim`` columns (at most 2k for a valid rank-k perturbation).
+    ``range_dim`` columns: the singular values of Delta(A) above
+    ``tol * ||A||_F^2``, the residual's own scale.  When C has rank at most k
+    and the residual is at most ``tol``, Weyl's inequality puts the
+    (2k+1)-th singular value of Delta(A) at or below that cut, so
+    ``range_dim <= 2k``.
     """
 
     perturbation: np.ndarray
@@ -64,14 +69,15 @@ def certify(A, C, k: int, tol: float = DEFAULT_TOL) -> CommutatorCertificate:
     residual = commutator_residual(A, C)
     A = as_matrix(A, "A")
     C = as_matrix(C, "C")
-    basis, dim = orthonormal_range(commutator(A), tol)
+    delta_svd = svd(commutator(A))
+    dim = int(np.count_nonzero(delta_svd.singular_values > tol * fro(A) ** 2))
     rank_c = numerical_rank(C, tol)
     return CommutatorCertificate(
         perturbation=C,
         claimed_rank=int(k),
         residual=float(residual),
-        range_basis=basis,
-        range_dim=int(dim),
+        range_basis=delta_svd.left_vectors[:, :dim].copy(),
+        range_dim=dim,
         perturbation_rank=int(rank_c),
         valid=bool(residual <= tol and rank_c <= k),
     )
@@ -80,21 +86,15 @@ def certify(A, C, k: int, tol: float = DEFAULT_TOL) -> CommutatorCertificate:
 def commutator_residual(A, C) -> float:
     """Relative residual of the commutator equation A^H A - A A^H = C A - A C.
 
-    Returns ``||(A^H A - A A^H) - (C A - A C)||_F / ||A||_F^2``, which is
-    unchanged when A and C are scaled together, and 0 for A = 0.  The
-    difference is formed as (A^H - C) A - A (A^H - C), two matrix products.
+    Returns ``||commutator(A, C)||_F / ||A||_F^2``, which is unchanged when A
+    and C are scaled together, and 0 for A = 0.
     """
     A = as_matrix(A, "A")
-    C = as_matrix(C, "C")
-    if A.shape != C.shape or A.shape[0] != A.shape[1]:
-        raise DimensionError(
-            f"A and C must be square with equal shape, got {A.shape} and {C.shape}"
-        )
+    defect = commutator(A, C)
     scale = fro(A) ** 2
     if scale == 0.0:
         return 0.0
-    D = A.conj().T - C
-    return fro(D @ A - A @ D) / scale
+    return fro(defect) / scale
 
 
 def perturbation_hermitian_rank_one(x, y) -> np.ndarray:
@@ -118,9 +118,7 @@ def perturbation_unitary_rank_one(unitary, x, y, tol: float = 1e-8) -> np.ndarra
     A A^H - A C = I exactly.  Invertibility of A is equivalent to
     1 + y^H U^H x != 0 and is checked against ``tol``.
     """
-    U = as_matrix(unitary, "unitary")
-    if U.shape[0] != U.shape[1]:
-        raise DimensionError("unitary factor must be square")
+    U = as_square(unitary, "unitary")
     x = as_vector(x, "x")
     y = as_vector(y, "y")
     if x.shape[0] != U.shape[0] or y.shape[0] != U.shape[0]:
@@ -460,9 +458,7 @@ def commutation_identity_residual(A, j: int) -> float:
     difference scaled by ||A||_F^{j+1}; the identity is unconditional, so the
     result is at roundoff level for any input.
     """
-    A = as_matrix(A, "A")
-    if A.shape[0] != A.shape[1]:
-        raise DimensionError("A must be square")
+    A = as_square(A, "A")
     if j < 1:
         raise ValueError("j must be >= 1")
     norm_a = fro(A)

@@ -16,6 +16,7 @@ residuals; complex numbers are encoded as [real, imag] pairs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -81,36 +82,23 @@ def _cplx(z) -> list[float]:
 
 
 def _conic_to_json(c: ConicCoefficients) -> dict:
-    return {
-        "a20": _cplx(c.a20),
-        "a11": _cplx(c.a11),
-        "a02": _cplx(c.a02),
-        "a10": _cplx(c.a10),
-        "a01": _cplx(c.a01),
-        "a00": _cplx(c.a00),
-        "real_form": list(c.real_form),
-        "theta": c.theta,
-        "max_residual": c.max_residual,
-        "degenerate_fit": c.degenerate_fit,
-    }
+    """Every field of ``c``; complex fields as [real, imag] pairs."""
+    out = {}
+    for f in dataclasses.fields(ConicCoefficients):
+        value = getattr(c, f.name)
+        out[f.name] = _cplx(value) if f.type == "complex" else value
+    return out
 
 
 def _conic_from_json(d: dict) -> ConicCoefficients:
-    def z(key):
-        re, im = d[key]
-        return complex(re, im)
+    def decode(f):
+        value = d[f.name]
+        if f.type == "complex":
+            return complex(*value)
+        return tuple(value) if isinstance(value, list) else value
 
     return ConicCoefficients(
-        a20=z("a20"),
-        a11=z("a11"),
-        a02=z("a02"),
-        a10=z("a10"),
-        a01=z("a01"),
-        a00=z("a00"),
-        real_form=tuple(d["real_form"]),
-        theta=d["theta"],
-        max_residual=d["max_residual"],
-        degenerate_fit=d["degenerate_fit"],
+        **{f.name: decode(f) for f in dataclasses.fields(ConicCoefficients)}
     )
 
 

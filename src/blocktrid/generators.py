@@ -23,7 +23,7 @@ from .almostnormal import (
     perturbation_unitary_rank_one,
 )
 from .errors import GenerationError, SingularityError, SolverFailure
-from .matcore import as_matrix, fro, svd
+from .matcore import as_square, commutator, fro, svd
 from .structure import _envelope_mask
 
 FAMILIES = (
@@ -277,11 +277,6 @@ def random_unitary_plus_rank_one(n: int, seed: int) -> GeneratedInstance:
     )
 
 
-def _commutator_gap(X, C):
-    Xh = X.conj().T
-    return Xh @ X - X @ Xh - C @ X + X @ C
-
-
 def _vec(M):
     return M.reshape(-1, order="F")
 
@@ -290,15 +285,8 @@ def _unvec(p, n):
     return p.reshape((n, n), order="F")
 
 
-def _commutation_matrix(n: int) -> np.ndarray:
-    q = np.arange(n * n)
-    K = np.zeros((n * n, n * n))
-    K[q, (q % n) * n + q // n] = 1.0
-    return K
-
-
 def _real_residual(X, C):
-    g = _vec(_commutator_gap(X, C))
+    g = _vec(commutator(X, C))
     return np.concatenate([g.real, g.imag])
 
 
@@ -312,13 +300,14 @@ def _gauss_newton(X, C, max_iters: int, damping: float = 1e-8):
     """
     n = X.shape[0]
     eye = np.eye(n)
-    K = _commutation_matrix(n)
+    q = np.arange(n * n)
+    transpose = (q % n) * n + q // n  # vec(M^T) = vec(M)[transpose]
 
     def done(M):
-        return fro(_commutator_gap(M, C)) <= 1e-10 * max(1.0, fro(M) ** 2)
+        return fro(commutator(M, C)) <= 1e-10 * max(1.0, fro(M) ** 2)
 
     for _ in range(max_iters):
-        if fro(_commutator_gap(X, C)) <= 1e-13 * max(1.0, fro(X) ** 2):
+        if fro(commutator(X, C)) <= 1e-13 * max(1.0, fro(X) ** 2):
             return X, True
         J1 = (
             np.kron(eye, X.conj().T)
@@ -326,7 +315,7 @@ def _gauss_newton(X, C, max_iters: int, damping: float = 1e-8):
             - np.kron(eye, C)
             + np.kron(C.T, eye)
         )
-        J2 = (np.kron(X.T, eye) - np.kron(eye, X)) @ K
+        J2 = (np.kron(X.T, eye) - np.kron(eye, X))[:, transpose]
         A_ = J1 + J2
         B_ = J1 - J2
         J = np.block([[A_.real, -B_.imag], [A_.imag, B_.real]])
@@ -375,9 +364,7 @@ def solve_commutator_equation(
     Raises ``SolverFailure`` when no restart converges; convergence of the
     iteration is heuristic.
     """
-    C = as_matrix(C, "C")
-    if C.shape[0] != C.shape[1]:
-        raise ValueError("C must be square")
+    C = as_square(C, "C")
     n = C.shape[0]
     if n > 16:
         raise ValueError(f"solver is limited to n <= 16, got {n}")

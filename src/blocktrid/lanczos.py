@@ -21,6 +21,7 @@ from .matcore import (
     DEFAULT_TOL,
     antihermitian_part,
     as_matrix,
+    as_square,
     fro,
     hermitian_part,
     orthonormal_range,
@@ -56,10 +57,8 @@ class BlockTridiagonalization:
 
 def _check_operands(M, Z, name: str):
     """Checked ``(M, Z)``: square M, nonzero Z of its rows (1-D Z is one column)."""
-    M = as_matrix(M, name)
+    M = as_square(M, name)
     n = M.shape[0]
-    if M.shape[1] != n:
-        raise DimensionError(f"{name} must be square, got shape {M.shape}")
     Z = np.asarray(Z, dtype=np.complex128)
     if Z.ndim == 1:
         Z = Z[:, None]
@@ -143,7 +142,7 @@ def block_lanczos(H, Z, tol: float = DEFAULT_TOL) -> BlockTridiagonalization:
         Uk = U[:, start : start + width]
         HUk = H @ Uk
         Ak = Uk.conj().T @ HUk
-        T[start : start + width, start : start + width] = (Ak + Ak.conj().T) / 2
+        T[start : start + width, start : start + width] = hermitian_part(Ak)
         if cols == n:
             break
         s, Vh = _append_range(U, cols, HUk, cutoff)

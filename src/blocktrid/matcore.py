@@ -10,6 +10,8 @@ The commutator convention used throughout is
     commutator(A) = A^H A - A A^H,
 
 which is Hermitian for every square A and vanishes exactly when A is normal.
+Given a perturbation C, ``commutator(A, C)`` is the defect of the relation
+A^H A - A A^H = C A - A C that the whole package is about.
 """
 
 from __future__ import annotations
@@ -50,7 +52,9 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     return arr
 
 
-def _as_square(a, name="matrix") -> np.ndarray:
+def as_square(a, name: str = "matrix") -> np.ndarray:
+    """:func:`as_matrix` for a square matrix; other shapes raise
+    ``DimensionError``."""
     arr = as_matrix(a, name)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {arr.shape}")
@@ -64,21 +68,30 @@ def fro(a) -> float:
 
 def hermitian_part(A) -> np.ndarray:
     """(A + A^H) / 2 for square A."""
-    A = _as_square(A)
+    A = as_square(A)
     return (A + A.conj().T) / 2
 
 
 def antihermitian_part(A) -> np.ndarray:
     """(A - A^H) / 2 for square A."""
-    A = _as_square(A)
+    A = as_square(A)
     return (A - A.conj().T) / 2
 
 
-def commutator(A) -> np.ndarray:
-    """A^H A - A A^H; Hermitian, zero iff A is normal."""
-    A = _as_square(A)
-    Ah = A.conj().T
-    return Ah @ A - A @ Ah
+def commutator(A, C=None) -> np.ndarray:
+    """(A^H - C) A - A (A^H - C), the defect of A^H A - A A^H = C A - A C.
+
+    Two matrix products.  Without C this is A^H A - A A^H, Hermitian and zero
+    iff A is normal.  C must be a square matrix of A's shape.
+    """
+    A = as_square(A, "A")
+    D = A.conj().T
+    if C is not None:
+        C = as_matrix(C, "C")
+        if C.shape != A.shape:
+            raise DimensionError(f"C must have A's shape {A.shape}, got {C.shape}")
+        D = D - C
+    return D @ A - A @ D
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .matcore import DEFAULT_TOL, as_matrix, commutator, fro
+from .matcore import DEFAULT_TOL, as_matrix, as_square, commutator, fro
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,7 @@ def block_profile(T, tol: float = DEFAULT_TOL) -> BlockProfile:
     earliest boundary whenever there is a choice.  A dense matrix degenerates
     to one or two large blocks.
     """
-    T = as_matrix(T, "T")
-    if T.shape[0] != T.shape[1]:
-        raise DimensionError("T must be square")
+    T = as_square(T, "T")
     n = T.shape[0]
     thr = tol * fro(T)
     low = _column_reach(T, thr)
@@ -85,9 +83,11 @@ def block_profile(T, tol: float = DEFAULT_TOL) -> BlockProfile:
                 c = cp
                 break
     sizes = tuple(b - a for a, b in zip(bounds, bounds[1:]))
-    mask = _envelope_mask(sizes, n)
-    off = float(np.linalg.norm(T[~mask]))
-    return BlockProfile(block_sizes=sizes, max_block=max(sizes), off_profile_norm=off)
+    return BlockProfile(
+        block_sizes=sizes,
+        max_block=max(sizes),
+        off_profile_norm=off_profile_residual(T, sizes),
+    )
 
 
 def off_profile_residual(T, profile) -> float:
@@ -96,9 +96,7 @@ def off_profile_residual(T, profile) -> float:
     ``profile`` is a BlockProfile or a plain sequence of block sizes, letting
     a claimed shape be checked instead of the detected one.
     """
-    T = as_matrix(T, "T")
-    if T.shape[0] != T.shape[1]:
-        raise DimensionError("T must be square")
+    T = as_square(T, "T")
     sizes = tuple(getattr(profile, "block_sizes", profile))
     if any(w < 1 for w in sizes):
         raise DimensionError("profile sizes must be positive")
@@ -242,7 +240,7 @@ def qr_iteration_tracked(
         C[:m, :m] = Q.conj().T @ C[:m, :m] @ Q
         C[:m, m:] = Q.conj().T @ C[:m, m:]
         C[m:, :m] = C[m:, :m] @ Q
-        c_res = fro(commutator(A) - (C @ A - A @ C)) / fro(A) ** 2
+        c_res = fro(commutator(A, C)) / fro(A) ** 2
         records.append(
             QrStepRecord(
                 step=step,

@@ -109,6 +109,19 @@ class TestCertify:
         with pytest.raises(DimensionError):
             certify(np.eye(3), np.eye(4), 1)
 
+    def test_range_dim_uses_the_residual_scale(self):
+        # A normal matrix plus 1e-12 noise certifies with C = 0: its
+        # commutator is about 1e-12 ||A||_F^2, far below the residual's
+        # scale, so none of its range counts.
+        n = 32
+        rng = np.random.default_rng(0)
+        d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        cert = certify(np.diag(d) + 1e-12 * G, np.zeros((n, n)), 2)
+        assert cert.valid
+        assert cert.range_dim == 0
+        assert cert.range_basis.shape == (n, 0)
+
 
 class TestHermitianPerturbation:
     def test_equal_vectors_vanish(self):
@@ -176,6 +189,10 @@ class TestUnitaryPerturbation:
         x[0] = 1.0
         with pytest.raises(SingularityError):
             perturbation_unitary_rank_one(np.eye(4), x, -x)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionError):
+            perturbation_unitary_rank_one(np.ones((3, 2)), np.ones(3), np.ones(3))
 
 
 class TestStartingBlocks:
@@ -462,6 +479,10 @@ class TestCommutationIdentity:
     def test_invalid_power(self):
         with pytest.raises(ValueError):
             commutation_identity_residual(np.eye(3), 0)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionError):
+            commutation_identity_residual(np.ones((2, 3)), 1)
 
 
 class TestKrylovMembership:

@@ -3,6 +3,7 @@ import numpy.polynomial.chebyshev as cheb
 import pytest
 
 from blocktrid import (
+    DimensionError,
     LinearVarietyError,
     SolverFailure,
     arrow_hermitian_plus_rank_one,
@@ -287,3 +288,7 @@ class TestCommutatorSolver:
     def test_large_size_rejected(self):
         with pytest.raises(ValueError):
             solve_commutator_equation(np.zeros((17, 17)))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionError):
+            solve_commutator_equation(np.zeros((3, 4)))

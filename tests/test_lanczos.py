@@ -146,6 +146,10 @@ class TestBlockLanczos:
         with pytest.raises(DimensionError):
             block_lanczos(np.eye(3, dtype=complex), np.ones((3, 4)))
 
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionError):
+            block_lanczos(np.ones((3, 2)), np.ones((3, 1)))
+
 
 class TestKrylovBasis:
     def test_level_zero_is_range(self):
@@ -190,6 +194,10 @@ class TestKrylovBasis:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             krylov_basis(np.eye(3, dtype=complex), np.ones((4, 1)), 1)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionError):
+            krylov_basis(np.ones((3, 2)), np.ones((3, 1)), 1)
 
 
 class TestKrylovInclusion:

@@ -114,6 +114,23 @@ class TestCommutator:
         assert fro(D - D.conj().T) <= bound
         assert abs(np.trace(D)) <= bound
 
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9))
+    @settings(max_examples=25, deadline=None)
+    def test_defect_of_the_relation(self, seed, n):
+        rng = np.random.default_rng(seed)
+        A, C = crandn(rng, n, n), crandn(rng, n, n)
+        Ah = A.conj().T
+        assert np.array_equal(commutator(A), Ah @ A - A @ Ah)
+        expected = (Ah @ A - A @ Ah) - (C @ A - A @ C)
+        bound = 1e-14 * (fro(A) + fro(C)) * fro(A)
+        assert fro(commutator(A, C) - expected) <= bound
+
+    def test_mismatched_perturbation_rejected(self):
+        with pytest.raises(DimensionError):
+            commutator(np.eye(3), np.eye(4))
+        with pytest.raises(DimensionError):
+            commutator(np.eye(3), np.ones((3, 2)))
+
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_part_identity(self, seed):

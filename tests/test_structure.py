@@ -10,6 +10,7 @@ from blocktrid import (
     block_lanczos,
     block_profile,
     commutator,
+    commutator_residual,
     companion,
     fro,
     hermitian_part,
@@ -185,6 +186,10 @@ class TestOffProfileResidual:
         with pytest.raises(DimensionError):
             off_profile_residual(np.eye(4), (2, 3))
 
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionError):
+            off_profile_residual(np.ones((2, 3)), (1, 1))
+
 
 class TestQrIterationTracked:
     def test_hermitian_tridiagonal_stays_clean(self):
@@ -317,3 +322,10 @@ class TestQrIterationTracked:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             qr_iteration_tracked(np.eye(3), np.eye(4), 1)
+
+    def test_step_residual_is_the_certificate_residual(self):
+        A_trid, C_trid = reduced_companion()
+        rep = qr_iteration_tracked(A_trid, C_trid, 5)
+        assert rep.iterations[-1].c_residual == commutator_residual(
+            rep.final_matrix, rep.final_perturbation
+        )
