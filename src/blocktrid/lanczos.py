@@ -79,7 +79,7 @@ def _append_range(B, cols, R, cutoff):
     if cols > 0:
         P = B[:, :cols]
         for _ in range(2):
-            R = R - P @ (P.conj().T @ R)
+            R = R - P @ (R.conj().T @ P).conj().T
     Q, s, Vh = np.linalg.svd(R, full_matrices=False)
     keep = int(np.count_nonzero(s > cutoff))
     B[:, cols : cols + keep] = Q[:, :keep]

@@ -17,6 +17,8 @@ import numpy as np
 from .errors import ContractError, DimensionError
 from .matcore import DEFAULT_TOL, as_matrix, as_square, commutator, fro
 
+PANEL_WIDTH = 32
+
 
 @dataclass(frozen=True)
 class BlockProfile:
@@ -163,6 +165,20 @@ def _wilkinson_shift(block) -> complex:
     return complex(mu1) if abs(mu1 - d) <= abs(mu2 - d) else complex(mu2)
 
 
+def _banded_qr_step(A, C, m, band):
+    """In place A <- Q^H A Q, C <- Q^H C Q for QR = A[:m, :m], by panels."""
+    panels = []
+    for j in range(0, m, PANEL_WIDTH):
+        je, re = min(j + PANEL_WIDTH, m), min(j + PANEL_WIDTH + band, m)
+        Qp, A[j:re, j:je] = np.linalg.qr(A[j:re, j:je], mode="complete")
+        A[j:re, je:] = Qp.conj().T @ A[j:re, je:]
+        C[j:re] = Qp.conj().T @ C[j:re]
+        C[:, j:re] = C[:, j:re] @ Qp
+        panels.append((j, re, Qp))
+    for j, re, Qp in panels:
+        A[:, j:re] = A[:, j:re] @ Qp
+
+
 def qr_iteration_tracked(
     A0, C0, steps: int, tol: float = DEFAULT_TOL
 ) -> QrTrackReport:
@@ -173,16 +189,16 @@ def qr_iteration_tracked(
     (block row index at least two greater than the block column index) are
     zeroed before the first step and their Frobenius norm is reported as
     ``discarded_norm``: explicit QR amplifies such roundoff fill step by step
-    until the blocks outside the profile lose their low rank.  Each step
-    factors A_k - shift I of the active window, forms the similarity
-    A_{k+1} = Q^H A_k Q, and applies the same congruence to the perturbation
-    C_k, which preserves the commutator relation.  Per step the report
-    records the numerical rank of every upper triangular block strictly
-    outside the initial profile (row block index at least two below the
-    column block index, enumerated row-major) at cutoff tol * ||A_0||_F,
-    with one stacked SVD per block shape.  Trailing eigenvalues deflate when
-    the last active row below the diagonal falls under the same cutoff; the
-    iteration stops early once everything has converged.
+    until the blocks outside the profile lose their low rank.  The window
+    then keeps lower bandwidth b = 2 max_block - 1, so each step factors
+    A_k - shift I in column panels of w = PANEL_WIDTH columns and w + b rows
+    and applies the similarity Q^H . Q to A_k and C_k (which keeps the
+    commutator relation) in O(n^2 (w + b)^2 / w) work, not O(n^3).  Per step
+    the report records the rank of every upper block outside the initial
+    profile, row-major, at cutoff tol * ||A_0||_F with one stacked SVD per
+    block shape.  Trailing eigenvalues deflate when the last active row
+    below the diagonal falls under the same cutoff; the iteration stops
+    early once everything has converged.
     """
     A = as_matrix(A0, "A0").copy()
     C = as_matrix(C0, "C0").copy()
@@ -230,16 +246,10 @@ def qr_iteration_tracked(
         diag = np.arange(m)
         A[diag, diag] -= shift
         try:
-            Q, R = np.linalg.qr(A[:m, :m])
+            _banded_qr_step(A, C, m, 2 * profile.max_block - 1)
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise ContractError(f"QR factorization failed: {exc}") from exc
-        A[:m, :m] = R @ Q
         A[diag, diag] += shift
-        A[:m, m:] = Q.conj().T @ A[:m, m:]
-        A[m:, :m] = A[m:, :m] @ Q
-        C[:m, :m] = Q.conj().T @ C[:m, :m] @ Q
-        C[:m, m:] = Q.conj().T @ C[:m, m:]
-        C[m:, :m] = C[m:, :m] @ Q
         c_res = fro(commutator(A, C)) / fro(A) ** 2
         records.append(
             QrStepRecord(

@@ -18,7 +18,10 @@ from blocktrid import (
     orthonormal_range,
     qr_iteration_tracked,
     random_unitary_plus_rank_one,
+    structure,
 )
+from blocktrid.cli import main
+from blocktrid.mmio import read_matrix
 
 
 def crandn(rng, *shape):
@@ -37,14 +40,70 @@ def reduced_companion(n=32, seed=12345):
 
 
 def reduced_unitary(n, seed):
-    """A unitary-plus-rank-one instance reduced from its commutator range,
-    as ``blocktrid reduce`` does for the unitary family."""
-    inst = random_unitary_plus_rank_one(n, seed)
+    return reduced_from_commutator_range(random_unitary_plus_rank_one(n, seed))
+
+
+def reduced_random_companion(n, seed):
+    """Companion matrix of a monic polynomial whose other coefficients have
+    moduli uniform in [0.5, 1] and uniform phases."""
+    rng = np.random.default_rng([0xC0, seed])
+    coeffs = rng.uniform(0.5, 1.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    return reduced_from_commutator_range(companion(np.concatenate([[1.0], coeffs])))
+
+
+def reduced_from_commutator_range(inst):
+    """An instance reduced from its commutator range, as ``blocktrid reduce``
+    does for the unitary and companion families."""
     Z, dim = orthonormal_range(commutator(inst.matrix))
     U = block_lanczos(hermitian_part(inst.matrix), Z[:, : min(dim, 4)]).basis
     A_trid = U.conj().T @ inst.matrix @ U
     C_trid = U.conj().T @ inst.perturbation_data["C"] @ U
     return A_trid, C_trid
+
+
+def reduced_by_cli(tmp_path, *generate_args):
+    gen, red = tmp_path / "gen", tmp_path / "red"
+    assert main(["generate", *generate_args, "--out", str(gen)]) == 0
+    assert main(["reduce", str(gen), "--out", str(red)]) == 0
+    return read_matrix(red / "A_trid.mtx"), read_matrix(red / "C_trid.mtx")
+
+
+def hermitian_tridiagonal(n, seed):
+    """Hermitian tridiagonal T (lower bandwidth 1) with the commuting
+    perturbation C = T^2."""
+    rng = np.random.default_rng(seed)
+    e = crandn(rng, n - 1)
+    T = np.diag(rng.standard_normal(n)) + np.diag(e, -1) + np.diag(e.conj(), 1)
+    return T, T @ T
+
+
+def dense_qr_step(A, C, m, band):
+    """Reference for ``structure._banded_qr_step``: one dense QR of the
+    whole window, its RQ product, and the transport of everything else."""
+    Q, R = np.linalg.qr(A[:m, :m])
+    A[:m, :m] = R @ Q
+    A[:m, m:] = Q.conj().T @ A[:m, m:]
+    A[m:, :m] = A[m:, :m] @ Q
+    C[:m, :m] = Q.conj().T @ C[:m, :m] @ Q
+    C[:m, m:] = Q.conj().T @ C[:m, m:]
+    C[m:, :m] = C[m:, :m] @ Q
+
+
+@pytest.fixture(
+    params=["unitary-128", "circle-64-324", "tridiagonal-33", "tridiagonal-100"]
+)
+def banded_instance(request, tmp_path):
+    """Blocks of 4 (unitary, circle) and Hermitian tridiagonals (band 1);
+    within 30 steps the tridiagonals deflate across the panel boundaries at
+    columns 32 and 96."""
+    if request.param == "unitary-128":
+        return reduced_unitary(128, 1)
+    if request.param == "circle-64-324":
+        return reduced_by_cli(
+            tmp_path, "--family", "curve", "--curve", "circle", "--n", "64",
+            "--seed", "324",
+        )
+    return hermitian_tridiagonal(int(request.param.split("-")[1]), 5)
 
 
 def full_scan_partition(T, tol):
@@ -264,6 +323,40 @@ class TestQrIterationTracked:
             assert max(rec.off_profile_block_ranks) <= 2
             assert rec.c_residual <= 1e-10
         assert 0.0 < rep.discarded_norm <= 1e-10 * fro(A_trid)
+
+    @pytest.mark.parametrize("n, seed", [(128, 0), (128, 1), (256, 0)])
+    def test_companion_rank_bound_at_scale(self, n, seed):
+        A_trid, C_trid = reduced_random_companion(n, seed)
+        rep = qr_iteration_tracked(A_trid, C_trid, 30)
+        assert len(rep.iterations) == 30
+        for rec in rep.iterations:
+            assert max(rec.off_profile_block_ranks) <= 2
+            assert rec.c_residual <= 1e-10
+        assert 0.0 < rep.discarded_norm <= 1e-10 * fro(A_trid)
+
+    def test_banded_step_matches_dense_step(self, banded_instance, monkeypatch):
+        A, C = banded_instance
+        rep = qr_iteration_tracked(A, C, 30)
+        monkeypatch.setattr(structure, "_banded_qr_step", dense_qr_step)
+        ref = qr_iteration_tracked(A, C, 30)
+        assert len(rep.iterations) == len(ref.iterations)
+        assert [r.off_profile_block_ranks for r in rep.iterations] == [
+            r.off_profile_block_ranks for r in ref.iterations
+        ]
+        assert len(rep.converged_eigenvalues) == len(ref.converged_eigenvalues)
+        assert len(rep.converged_eigenvalues) > 0
+        np.testing.assert_allclose(
+            rep.converged_eigenvalues, ref.converged_eigenvalues,
+            rtol=0, atol=1e-12 * fro(A),
+        )
+        assert all(rec.c_residual <= 1e-10 for rec in rep.iterations)
+
+    def test_active_window_exactly_zero_below_band(self, banded_instance):
+        A, C = banded_instance
+        rep = qr_iteration_tracked(A, C, 30)
+        m = A.shape[0] - len(rep.converged_eigenvalues)
+        band = 2 * rep.initial_profile.max_block - 1
+        assert np.count_nonzero(np.tril(rep.final_matrix[:m, :m], -band - 1)) == 0
 
     def test_fill_below_envelope_is_discarded(self):
         n = 8
