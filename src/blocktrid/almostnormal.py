@@ -397,7 +397,7 @@ def leading_part_decomposition(c: ConicCoefficients, variant: str):
         raise ValueError(f"variant must be 'first' or 'second', got {variant!r}")
     h = c.a20 + c.a02 - c.a11
     base = abs(c.a20) + abs(c.a02) + abs(c.a11)
-    if abs(h) <= 1e-10 * max(base, 1e-300):
+    if abs(h) <= 1e-10 * base:
         raise ContractError(
             "leading form is degenerate (a20 + a02 - a11 vanishes); rotate first"
         )
@@ -412,16 +412,16 @@ def leading_part_decomposition(c: ConicCoefficients, variant: str):
     return complex(alpha), complex(beta), complex(gamma)
 
 
-def _is_unit_circle(c: ConicCoefficients, rtol: float = 1e-8) -> bool:
+def _is_unit_circle(c: ConicCoefficients) -> bool:
     scale = (
         abs(c.a20) + abs(c.a11) + abs(c.a02) + abs(c.a10) + abs(c.a01) + abs(c.a00)
     )
     if scale == 0.0 or abs(c.a11) == 0.0:
         return False
     return (
-        abs(c.a20) <= rtol * scale
-        and abs(c.a10) <= rtol * scale
-        and abs(c.a00 + c.a11) <= rtol * scale
+        abs(c.a20) <= 1e-8 * scale
+        and abs(c.a10) <= 1e-8 * scale
+        and abs(c.a00 + c.a11) <= 1e-8 * scale
     )
 
 

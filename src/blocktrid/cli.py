@@ -282,10 +282,13 @@ def cmd_reduce(args, argv) -> int:
     n = A.shape[0]
     norm_a = fro(A)
     A_trid = U.conj().T @ A @ U
+    similarity = fro(hermitian_part(phase * A_trid) - T)
+    off_profile = off_profile_residual(A_trid, red.block_sizes)
     residuals = {
         "unitarity": fro(U.conj().T @ U - np.eye(n)) / np.sqrt(n),
-        "similarity": fro(hermitian_part(phase * A_trid) - T) / max(norm_a, 1e-300),
-        "off_profile": off_profile_residual(A_trid, red.block_sizes) / max(norm_a, 1e-300),
+        # relative to ||A||_F; the zero matrix has zero residuals
+        "similarity": similarity / norm_a if norm_a else 0.0,
+        "off_profile": off_profile / norm_a if norm_a else 0.0,
         "certificate": None,
     }
     os.makedirs(args.out, exist_ok=True)

@@ -290,7 +290,7 @@ def _real_residual(X, C):
     return np.concatenate([g.real, g.imag])
 
 
-def _gauss_newton(X, C, max_iters: int, damping: float = 1e-8):
+def _gauss_newton(X, C, max_iters: int):
     """Damped Gauss-Newton on the real parametrization of the commutator
     equation.  Returns (X, converged).
 
@@ -321,7 +321,7 @@ def _gauss_newton(X, C, max_iters: int, damping: float = 1e-8):
         J = np.block([[A_.real, -B_.imag], [A_.imag, B_.real]])
         r = _real_residual(X, C)
         g = J.T @ r
-        Hmat = J.T @ J + damping * np.eye(J.shape[1])
+        Hmat = J.T @ J + 1e-8 * np.eye(J.shape[1])
         step = -np.linalg.solve(Hmat, g)
         base = np.linalg.norm(r)
         t = 1.0

@@ -120,10 +120,10 @@ def block_lanczos(H, Z, tol: float = DEFAULT_TOL) -> BlockTridiagonalization:
     if Z.shape[1] > n:
         raise DimensionError(f"Z has {Z.shape[1]} > n = {n} columns")
     scale = fro(H)
-    if fro(H - H.conj().T) > 1e-12 * max(scale, 1e-300):
+    if fro(H - H.conj().T) > 1e-12 * scale:
         raise ContractError("H is not Hermitian to relative tolerance 1e-12")
 
-    cutoff = tol * scale if scale > 0 else tol
+    cutoff = tol * scale
 
     U = np.zeros((n, n), dtype=np.complex128)
     T = np.zeros((n, n), dtype=np.complex128)

@@ -53,10 +53,10 @@ def block_profile(T, tol: float = DEFAULT_TOL) -> BlockProfile:
 
     A boundary pair (c, c') is admissible when no column left of c reaches a
     row at or beyond c', which makes validity a condition on consecutive
-    boundaries only.  A dynamic program over boundary positions then yields
-    the partition with the smallest achievable maximum block size, taking the
-    earliest boundary whenever there is a choice.  A dense matrix degenerates
-    to one or two large blocks.
+    boundaries only.  One dynamic program over boundary positions yields the
+    smallest achievable maximum block size and records, per boundary, the
+    earliest next boundary attaining it; the partition is read off that
+    record.  A dense matrix degenerates to one or two large blocks.
     """
     T = as_square(T, "T")
     n = T.shape[0]
@@ -64,26 +64,23 @@ def block_profile(T, tol: float = DEFAULT_TOL) -> BlockProfile:
     low = _column_reach(T, thr)
     # M[c] = furthest row reached by any column left of boundary c
     M = [-1] + np.maximum.accumulate(low).tolist()
-    # f[c] = smallest achievable maximum block size on [c, n).  The scan over
-    # the next boundary cp stops once cp - c reaches the best value found:
-    # max(cp - c, f[cp]) cannot go lower from there on.
+    # f[c] = smallest achievable maximum block size on [c, n), and nxt[c] the
+    # first next boundary cp attaining it (n when no cp < n beats n - c, as
+    # f[cp] <= n - cp).  The scan over cp stops once cp - c reaches the best
+    # value found: max(cp - c, f[cp]) cannot go lower from there on.
     f = [0] * (n + 1)
+    nxt = [n] * (n + 1)
     for c in range(n - 1, -1, -1):
         best = n - c
         for cp in range(max(c + 1, M[c] + 1), n):
             if cp - c >= best:
                 break
-            best = min(best, max(cp - c, f[cp]))
+            if max(cp - c, f[cp]) < best:
+                best, nxt[c] = max(cp - c, f[cp]), cp
         f[c] = best
     bounds = [0]
-    c = 0
-    while c < n:
-        lo = max(c + 1, M[c] + 1)
-        for cp in range(lo, n + 1):
-            if max(cp - c, f[cp]) == f[c]:
-                bounds.append(cp)
-                c = cp
-                break
+    while bounds[-1] < n:
+        bounds.append(nxt[bounds[-1]])
     sizes = tuple(b - a for a, b in zip(bounds, bounds[1:]))
     return BlockProfile(
         block_sizes=sizes,
@@ -132,28 +129,21 @@ class QrTrackReport:
     discarded_norm: float
 
 
-def _outside_shapes(sizes):
-    """Index arrays of the blocks strictly above the block tridiagonal
-    envelope (column block at least two right of the row block), grouped by
-    block shape so one stacked SVD serves each shape.
-
-    Returns the number of such blocks and, per shape present, the positions
-    of its blocks in row-major order with broadcast row (g x r x 1) and
-    column (g x 1 x c) indices into the matrix.
+def _outside_blocks(sizes):
+    """Row (g x b x 1) and column (g x 1 x b) indices, clipped to n - 1, of
+    the blocks strictly above the block tridiagonal envelope (column block at
+    least two right of the row block), row-major, each padded to
+    b = max(sizes); and the g x b x b mask of the entries inside each block.
+    Zero padding leaves a block's nonzero singular values unchanged.
     """
     sizes = np.asarray(sizes)
     starts = np.cumsum(sizes) - sizes
     bi, bj = np.triu_indices(sizes.size, 2)
-    rows_w, cols_w = sizes[bi], sizes[bj]
-    groups = []
-    for r in range(1, 5):
-        for c in range(1, 5):
-            pos = np.flatnonzero((rows_w == r) & (cols_w == c))
-            if pos.size:
-                rows = starts[bi[pos], None, None] + np.arange(r)[:, None]
-                cols = starts[bj[pos], None, None] + np.arange(c)
-                groups.append((pos, rows, cols))
-    return bi.size, groups
+    k, last = np.arange(sizes.max()), sizes.sum() - 1
+    rows = np.minimum(starts[bi, None, None] + k[:, None], last)
+    cols = np.minimum(starts[bj, None, None] + k, last)
+    keep = (k[:, None] < sizes[bi, None, None]) & (k < sizes[bj, None, None])
+    return rows, cols, keep
 
 
 def _wilkinson_shift(block) -> complex:
@@ -195,10 +185,11 @@ def qr_iteration_tracked(
     and applies the similarity Q^H . Q to A_k and C_k (which keeps the
     commutator relation) in O(n^2 (w + b)^2 / w) work, not O(n^3).  Per step
     the report records the rank of every upper block outside the initial
-    profile, row-major, at cutoff tol * ||A_0||_F with one stacked SVD per
-    block shape.  Trailing eigenvalues deflate when the last active row
-    below the diagonal falls under the same cutoff; the iteration stops
-    early once everything has converged.
+    profile, row-major, at cutoff tol * ||A_0||_F with one stacked SVD of
+    all of them, zero-padded to max_block.  Trailing eigenvalues deflate
+    while the last active row left of the diagonal is under the same cutoff
+    (tol must be positive); the iteration stops early once everything has
+    converged.
     """
     A = as_matrix(A0, "A0").copy()
     C = as_matrix(C0, "C0").copy()
@@ -206,6 +197,8 @@ def qr_iteration_tracked(
         raise DimensionError("A0 and C0 must be square with equal shape")
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     n = A.shape[0]
     profile = block_profile(A, tol)
     if profile.max_block > 4:
@@ -217,25 +210,19 @@ def qr_iteration_tracked(
     below = np.tril(~_envelope_mask(profile.block_sizes, n))
     discarded = fro(A[below])
     A[below] = 0
-    n_outside, shapes = _outside_shapes(profile.block_sizes)
+    rows, cols, keep = _outside_blocks(profile.block_sizes)
     eigs: list[complex] = []
     m = n
 
     def deflate():
         nonlocal m
-        while m >= 2 and np.linalg.norm(A[m - 1, : m - 1]) <= cut:
+        while m and np.linalg.norm(A[m - 1, : m - 1]) <= cut:
             eigs.append(complex(A[m - 1, m - 1]))
             m -= 1
-        if m == 1:
-            eigs.append(complex(A[0, 0]))
-            m = 0
 
     def block_ranks():
-        ranks = np.zeros(n_outside, dtype=int)
-        for pos, rows, cols in shapes:
-            sv = np.linalg.svd(A[rows, cols], compute_uv=False)
-            ranks[pos] = np.count_nonzero(sv > cut, axis=-1)
-        return tuple(ranks.tolist())
+        sv = np.linalg.svd(np.where(keep, A[rows, cols], 0), compute_uv=False)
+        return tuple(np.count_nonzero(sv > cut, axis=-1).tolist())
 
     records = []
     deflate()

@@ -125,6 +125,15 @@ class TestReduce:
                    "--out", str(red)) == 0
         assert max(load_report(red / "report.json")["block_sizes"]) <= 2
 
+    def test_zero_matrix_has_zero_residuals(self, tmp_path):
+        a, start, red = tmp_path / "zero.mtx", tmp_path / "Z.mtx", tmp_path / "red"
+        write_matrix(a, np.zeros((6, 6)))
+        write_matrix(start, np.eye(6)[:, :2])
+        assert run("reduce", str(a), "--start", str(start), "--out", str(red)) == 0
+        residuals = load_report(red / "report.json")["residuals"]
+        assert residuals == {"unitarity": 0.0, "similarity": 0.0,
+                             "off_profile": 0.0, "certificate": None}
+
     def test_report_deterministic_except_timing(self, tmp_path):
         gen = tmp_path / "gen"
         run("generate", "--family", "arrow", "--n", "12", "--seed", "2",
@@ -277,3 +286,13 @@ class TestQrTrack:
         write_matrix(c, crandn(rng, 10, 10))
         assert run("qr-track", str(a), str(c), "--steps", "3") == 4
         assert "reduce" in capsys.readouterr().err
+
+    def test_zero_tolerance_named(self, tmp_path, capsys):
+        gen, red = tmp_path / "gen", tmp_path / "red"
+        run("generate", "--family", "arrow", "--n", "16", "--seed", "1",
+            "--out", str(gen))
+        assert run("reduce", str(gen), "--out", str(red)) == 0
+        capsys.readouterr()
+        assert run("qr-track", str(red / "A_trid.mtx"), str(red / "C_trid.mtx"),
+                   "--tol", "0") == 4
+        assert "tol must be positive, got 0.0" in capsys.readouterr().err

@@ -132,6 +132,13 @@ class TestBlockLanczos:
         assert fro(U.conj().T @ U - np.eye(n)) <= 1e-11 * np.sqrt(n)
         assert fro(U.conj().T @ H @ U - T) <= 1e-10 * fro(H)
 
+    def test_zero_matrix_breaks_down_every_block(self):
+        red = block_lanczos(np.zeros((6, 6)), np.eye(6)[:, :2])
+        assert red.block_sizes == (2, 1, 1, 1, 1)
+        assert len(red.breakdown_events) == 4
+        assert fro(red.basis.conj().T @ red.basis - np.eye(6)) <= 1e-14
+        assert not red.trid.any()
+
     def test_non_hermitian_rejected(self):
         rng = np.random.default_rng(0)
         A = crandn(rng, 5, 5)

@@ -9,15 +9,19 @@ from blocktrid import (
     arrow_hermitian_plus_rank_one,
     block_lanczos,
     block_profile,
+    certify,
     commutator,
     commutator_residual,
     companion,
+    curve_normal_plus_rank_one,
     fro,
     hermitian_part,
     off_profile_residual,
     orthonormal_range,
     qr_iteration_tracked,
     random_unitary_plus_rank_one,
+    rotate_leading_form,
+    starting_block_curve,
     structure,
 )
 from blocktrid.cli import main
@@ -314,9 +318,12 @@ class TestQrIterationTracked:
         rep = qr_iteration_tracked(A_trid, C_trid, 20, tol=1e-9)
         assert svd(rep.final_perturbation).numerical_rank == r0
 
-    @pytest.mark.parametrize("n", [128, 256])
-    def test_unitary_rank_bound_at_scale(self, n):
-        A_trid, C_trid = reduced_unitary(n, 1)
+    @pytest.mark.parametrize(
+        "n, seed",
+        [(128, 0), (128, 1), (128, 2), (128, 3), (256, 0), (256, 1), (256, 2)],
+    )
+    def test_unitary_rank_bound_at_scale(self, n, seed):
+        A_trid, C_trid = reduced_unitary(n, seed)
         rep = qr_iteration_tracked(A_trid, C_trid, 30)
         assert len(rep.iterations) == 30
         for rec in rep.iterations:
@@ -407,6 +414,21 @@ class TestQrIterationTracked:
         with pytest.raises(ContractError):
             qr_iteration_tracked(A, crandn(rng, 12, 12), 5)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_two_block_profile_has_no_outside_blocks(self, n):
+        rng = np.random.default_rng(n)
+        A = crandn(rng, n, n)
+        rep = qr_iteration_tracked(A, np.zeros_like(A), 3)
+        assert len(rep.initial_profile.block_sizes) <= 2
+        assert rep.iterations
+        assert all(rec.off_profile_block_ranks == () for rec in rep.iterations)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    def test_nonpositive_tolerance_rejected(self, tol):
+        T = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            qr_iteration_tracked(T, np.zeros_like(T), 1, tol=tol)
+
     def test_zero_steps(self):
         T = np.diag([1.0, 2.0, 3.0]).astype(complex)
         rep = qr_iteration_tracked(T, np.zeros((3, 3), dtype=complex), 0)
@@ -422,3 +444,50 @@ class TestQrIterationTracked:
         assert rep.iterations[-1].c_residual == commutator_residual(
             rep.final_matrix, rep.final_perturbation
         )
+
+
+def scaled_decisions(family, seed, scale):
+    """Every rank and size decision on an n = 48 instance with A and C scaled
+    by ``scale``: the reduction reads its starting block off the scaled
+    matrix by the rules of ``blocktrid reduce``."""
+    n = 48
+    if family == "arrow":
+        inst = arrow_hermitian_plus_rank_one(n, seed)
+    elif family == "unitary":
+        inst = random_unitary_plus_rank_one(n, seed)
+    else:
+        inst = curve_normal_plus_rank_one(n, "circle", seed)
+    A, C = scale * inst.matrix, scale * inst.perturbation_data["C"]
+    phase = 1.0
+    if family == "arrow":
+        Z = np.column_stack([inst.perturbation_data[k] for k in ("x", "y")])
+    elif family == "unitary":
+        Z, dim = orthonormal_range(commutator(A))
+        Z = Z[:, : min(dim, 4)]
+    else:
+        conic = rotate_leading_form(inst.conic)
+        phase = np.exp(1j * conic.theta)
+        u, v = inst.perturbation_data["u"], inst.perturbation_data["v"]
+        Z = starting_block_curve(phase * A, phase * u, v, conic)
+    red = block_lanczos(hermitian_part(phase * A), Z)
+    U = red.basis
+    A_trid, C_trid = U.conj().T @ A @ U, U.conj().T @ C @ U
+    cert = certify(A, C, 2)
+    rep = qr_iteration_tracked(A_trid, C_trid, 10)
+    return (
+        red.block_sizes,
+        block_profile(A_trid).block_sizes,
+        (cert.valid, cert.range_dim, cert.perturbation_rank),
+        [rec.off_profile_block_ranks for rec in rep.iterations],
+        len(rep.converged_eigenvalues),
+    )
+
+
+@pytest.mark.parametrize("family", ["arrow", "unitary", "circle"])
+def test_decisions_are_scale_invariant(family):
+    """Scaling A and C together by 1e8 or 1e-8 changes no block size, no
+    certificate verdict and no per-step QR rank or converged count."""
+    for seed in range(10):
+        reference = scaled_decisions(family, seed, 1.0)
+        assert scaled_decisions(family, seed, 1e8) == reference
+        assert scaled_decisions(family, seed, 1e-8) == reference
