@@ -11,7 +11,8 @@ the degree-2 spectral curves of normal-plus-rank-one matrices.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .errors import (
 )
 from .matcore import (
     DEFAULT_TOL,
+    _checked_svd,
     antihermitian_part,
     as_matrix,
     as_square,
@@ -43,43 +45,58 @@ class CommutatorCertificate:
 
     ``residual`` is ``commutator_residual(A, C)``, the scale-invariant
     ``||Delta(A) - (C A - A C)||_F / ||A||_F^2`` with Delta(A) = A^H A - A A^H
-    (zero for A = 0).  ``range_basis`` spans S = range(Delta(A)) and has
-    ``range_dim`` columns: the singular values of Delta(A) above
+    (zero for A = 0).  Delta(A) is Hermitian, so its singular values are the
+    moduli of its eigenvalues; ``range_dim`` counts those above
     ``tol * ||A||_F^2``, the residual's own scale.  When C has rank at most k
     and the residual is at most ``tol``, Weyl's inequality puts the
-    (2k+1)-th singular value of Delta(A) at or below that cut, so
-    ``range_dim <= 2k``.
+    (2k+1)-th of them at or below that cut, so ``range_dim <= 2k``.
+
+    ``range_basis`` is an orthonormal n x ``range_dim`` basis of
+    S = range(Delta(A)), the leading eigenvectors of Delta(A) by modulus.  It
+    is computed on first read from the Delta(A) the certificate keeps, and
+    cached.
     """
 
     perturbation: np.ndarray
     claimed_rank: int
     residual: float
-    range_basis: np.ndarray
     range_dim: int
     perturbation_rank: int
     valid: bool
+    _delta: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def range_basis(self) -> np.ndarray:
+        left = _checked_svd(self._delta, hermitian=True)[0]
+        return left[:, : self.range_dim].copy()
 
 
 def certify(A, C, k: int, tol: float = DEFAULT_TOL) -> CommutatorCertificate:
     """Measure how well C solves the commutator equation for A.
 
     The certificate is valid when the relative residual is at most ``tol``
-    and the numerical rank of C does not exceed ``k``.
+    and the numerical rank of C does not exceed ``k``.  ``range_dim`` comes
+    from the eigenvalue moduli of the Hermitian Delta(A) alone; no singular
+    vectors are computed until ``range_basis`` is read.  A claimed rank
+    ``k`` that is not a non-negative integer raises ``ValueError``.
     """
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
+        raise ValueError(f"claimed rank k must be a non-negative integer, got {k!r}")
     residual = commutator_residual(A, C)
     A = as_matrix(A, "A")
     C = as_matrix(C, "C")
-    delta_svd = svd(commutator(A))
-    dim = int(np.count_nonzero(delta_svd.singular_values > tol * fro(A) ** 2))
+    delta = commutator(A)
+    moduli = _checked_svd(delta, compute_uv=False, hermitian=True)
+    dim = int(np.count_nonzero(moduli > tol * fro(A) ** 2))
     rank_c = numerical_rank(C, tol)
     return CommutatorCertificate(
         perturbation=C,
         claimed_rank=int(k),
         residual=float(residual),
-        range_basis=delta_svd.left_vectors[:, :dim].copy(),
         range_dim=dim,
         perturbation_rank=int(rank_c),
         valid=bool(residual <= tol and rank_c <= k),
+        _delta=delta,
     )
 
 

@@ -206,19 +206,25 @@ def _build_instance(args):
     raise ContractError(f"unknown family {fam!r}")
 
 
-def _starting_block(manifest, in_dir, A):
+def _starting_block(manifest, in_dir, A, inputs):
     """Starting block and reduction phase for the manifest's family.
 
     Returns ``(Z, phase)``: the block Lanczos run reduces the Hermitian part
     of ``phase * A``, whose basis block-tridiagonalizes A itself.  The phase
     differs from 1 for curve instances violating the leading-form condition
-    and for dependent rank-one perturbations.
+    and for dependent rank-one perturbations.  Every file read is recorded
+    in ``inputs`` with its SHA-256.
     """
     fam = manifest["family"]
     files = manifest["files"]
 
+    def path(role):
+        p = os.path.join(in_dir, files[role])
+        inputs[p] = _sha256(p)
+        return p
+
     def vec(role):
-        return read_vector(os.path.join(in_dir, files[role]))
+        return read_vector(path(role))
 
     if fam in ("arrow", "colleague"):
         return np.column_stack([vec("x"), vec("y")]), 1.0 + 0j
@@ -240,7 +246,7 @@ def _starting_block(manifest, in_dir, A):
         phase = np.exp(1j * rotated.theta)
         return starting_block_curve(phase * A, phase * u, v, rotated), phase
     if fam == "fourier-sum":
-        return read_matrix(os.path.join(in_dir, files["start"])), 1.0 + 0j
+        return read_matrix(path("start")), 1.0 + 0j
     if fam == "solved":
         u, v = vec("u"), vec("v")
         Z = starting_block_rank_one(A, u, v)
@@ -266,6 +272,8 @@ def cmd_reduce(args, argv) -> int:
         matrix_path = in_path
     A = read_matrix(matrix_path)
     inputs = {matrix_path: _sha256(matrix_path)}
+    if manifest is not None:
+        inputs[manifest_path] = _sha256(manifest_path)
     phase = 1.0 + 0j
     if args.start != "auto":
         Z = read_matrix(args.start)
@@ -276,7 +284,7 @@ def cmd_reduce(args, argv) -> int:
                 "automatic starting blocks need a manifest directory; "
                 "pass --start with an explicit block file instead"
             )
-        Z, phase = _starting_block(manifest, in_dir, A)
+        Z, phase = _starting_block(manifest, in_dir, A, inputs)
     red = block_lanczos(hermitian_part(phase * A), Z, tol=args.tol)
     U, T = red.basis, red.trid
     n = A.shape[0]

@@ -108,19 +108,25 @@ class SvdResult:
     numerical_rank: int
 
 
-def _ranked_svd(M, tol: float, compute_uv: bool):
-    """``np.linalg.svd`` of a validated M, and the number of singular values
-    above ``tol * max(s)`` (zero for the zero matrix)."""
-    M = as_matrix(M)
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+def _checked_svd(M, **kwargs):
+    """``np.linalg.svd(M, **kwargs)`` for a validated M; a LAPACK
+    non-convergence raises ``NumericalError``."""
     try:
-        out = np.linalg.svd(M, full_matrices=True, compute_uv=compute_uv)
+        return np.linalg.svd(M, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"SVD iteration failed to converge for a {M.shape[0]}x{M.shape[1]} "
             f"matrix with Frobenius norm {fro(M):.3e}"
         ) from exc
+
+
+def _ranked_svd(M, tol: float, compute_uv: bool, full_matrices: bool = True):
+    """``np.linalg.svd`` of a validated M, and the number of singular values
+    above ``tol * max(s)`` (zero for the zero matrix)."""
+    M = as_matrix(M)
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    out = _checked_svd(M, full_matrices=full_matrices, compute_uv=compute_uv)
     s = out[1] if compute_uv else out
     smax = float(s[0]) if s.size else 0.0
     rank = int(np.count_nonzero(s > tol * smax)) if smax > 0 else 0
@@ -142,12 +148,12 @@ def numerical_rank(M, tol: float = DEFAULT_TOL) -> int:
 def orthonormal_range(Z, tol: float = DEFAULT_TOL):
     """Orthonormal basis of range(Z) at relative tolerance ``tol``.
 
-    Returns ``(Q, s)`` where Q has s orthonormal columns.  The zero matrix
-    yields s = 0 and an n x 0 array.
+    Returns ``(Q, s)`` where Q has s orthonormal columns, the leading left
+    singular vectors of the thin SVD under the rank rule of :func:`svd`.  The
+    zero matrix yields s = 0 and an n x 0 array.
     """
-    res = svd(Z, tol)
-    s = res.numerical_rank
-    return res.left_vectors[:, :s].copy(), s
+    (U, _, _), s = _ranked_svd(Z, tol, compute_uv=True, full_matrices=False)
+    return U[:, :s].copy(), s
 
 
 def subspace_inclusion_residual(X, Y, tol: float = DEFAULT_TOL) -> float:

@@ -72,7 +72,8 @@ def read_matrix(path) -> np.ndarray:
             f"found {body.shape[0]} lines of {body.shape[1]}"
         )
     if field == "complex":
-        values = body[:, 0] + 1j * body[:, 1]
+        # a view keeps each component's bits, signed zeros included
+        values = body.view(np.complex128)[:, 0]
     else:
         values = body[:, 0].astype(np.complex128)
     return values.reshape((rows, cols), order="F")

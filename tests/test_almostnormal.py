@@ -12,6 +12,7 @@ from blocktrid import (
     antihermitian_rescaling,
     arrow_hermitian_plus_rank_one,
     certify,
+    chebyshev_colleague,
     commutation_identity_residual,
     commutator,
     commutator_residual,
@@ -121,6 +122,104 @@ class TestCertify:
         assert cert.valid
         assert cert.range_dim == 0
         assert cert.range_basis.shape == (n, 0)
+
+
+    @pytest.mark.parametrize("k", [-1, 2.7, 2.0, True, "2", None])
+    def test_claimed_rank_must_be_a_non_negative_integer(self, k):
+        A = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        with pytest.raises(ValueError, match="non-negative integer"):
+            certify(A, np.zeros((3, 3)), k)
+
+    def test_numpy_integer_rank_accepted(self):
+        A = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        cert = certify(A, np.zeros((3, 3)), np.int64(0))
+        assert cert.valid
+        assert cert.claimed_rank == 0 and type(cert.claimed_rank) is int
+
+
+def _certify_instances(family, n):
+    """(A, C, k) of the generated instances of ``family`` at size n, seeds 0-4."""
+    for seed in range(5):
+        if family == "arrow":
+            inst = arrow_hermitian_plus_rank_one(n, seed)
+        elif family == "unitary":
+            inst = random_unitary_plus_rank_one(n, seed)
+        elif family == "companion":
+            rng = np.random.default_rng([0xC0, seed])
+            mod = rng.uniform(0.5, 1.0, n)
+            inst = companion(np.concatenate(
+                [[1.0], mod * np.exp(2j * np.pi * rng.uniform(size=n))]))
+        elif family == "colleague":
+            rng = np.random.default_rng([0xC1, seed])
+            inst = chebyshev_colleague(np.concatenate([[1.0], rng.uniform(-1.0, 1.0, n)]))
+        elif family in ("circle", "line"):
+            inst = curve_normal_plus_rank_one(n, family, seed)
+        else:
+            C = np.zeros((n, n), dtype=complex)
+            C[0, seed % 2] = 2.0  # dependent (0, 0) and independent (0, 1)
+            inst = solve_commutator_equation(C, seed=seed)
+        cert = inst.certificate
+        yield inst.matrix, cert.perturbation, cert.claimed_rank
+
+
+def _negative_control(name):
+    if name == "normal-plus-noise":
+        n = 32
+        rng = np.random.default_rng(0)
+        d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return np.diag(d) + 1e-12 * G, np.zeros((n, n)), 2
+    rng = np.random.default_rng(20130621)
+    dense = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    scale = 1e-6 if name == "dense-scaled" else 1.0
+    return scale * dense, np.zeros((64, 64)), 2
+
+
+_CERTIFY_CASES = [
+    (family, n)
+    for family in ("arrow", "unitary", "companion", "colleague", "circle", "line")
+    for n in (8, 64, 256)
+] + [("solved", 8), ("solved", 16)]  # the solver stops at n = 16
+
+
+class TestCertifyAgainstFullSvd:
+    """``certify`` against a reference that takes a plain full SVD of
+    Delta(A) and of C."""
+
+    @staticmethod
+    def check(A, C, k):
+        A = np.asarray(A, dtype=np.complex128)
+        C = np.asarray(C, dtype=np.complex128)
+        scale = np.linalg.norm(A) ** 2
+        D = A.conj().T - C
+        residual = np.linalg.norm(D @ A - A @ D) / scale
+        left, s_delta, _ = np.linalg.svd(A.conj().T @ A - A @ A.conj().T)
+        s_c = np.linalg.svd(C, compute_uv=False)
+        n = A.shape[0]
+        for tol in (1e-10, 1e-8):
+            dim = int(np.count_nonzero(s_delta > tol * scale))
+            rank_c = int(np.count_nonzero(s_c > tol * s_c[0])) if s_c[0] > 0 else 0
+            cert = certify(A, C, k, tol)
+            assert cert.residual == residual  # bit for bit
+            assert cert.range_dim == dim
+            assert cert.perturbation_rank == rank_c
+            assert cert.valid == (residual <= tol and rank_c <= k)
+            basis = cert.range_basis
+            assert basis.shape == (n, dim)
+            assert fro(basis.conj().T @ basis - np.eye(dim)) <= 1e-12
+            if dim:
+                assert subspace_inclusion_residual(basis, left[:, :dim]) <= 1e-10
+                assert subspace_inclusion_residual(left[:, :dim], basis) <= 1e-10
+            assert cert.range_basis is basis
+
+    @pytest.mark.parametrize("family, n", _CERTIFY_CASES)
+    def test_generated_instances(self, family, n):
+        for A, C, k in _certify_instances(family, n):
+            self.check(A, C, k)
+
+    @pytest.mark.parametrize("name", ["dense", "dense-scaled", "normal-plus-noise"])
+    def test_negative_controls(self, name):
+        self.check(*_negative_control(name))
 
 
 class TestHermitianPerturbation:

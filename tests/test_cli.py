@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from blocktrid.almostnormal import certify
+from blocktrid.almostnormal import CommutatorCertificate, certify
 from blocktrid.cli import main
 from blocktrid.mmio import read_matrix, write_matrix
 
@@ -125,6 +126,20 @@ class TestReduce:
                    "--out", str(red)) == 0
         assert max(load_report(red / "report.json")["block_sizes"]) <= 2
 
+    @pytest.mark.parametrize("family, read", [
+        ("arrow", ("A.mtx", "manifest.json", "x.mtx", "y.mtx", "C.mtx")),
+        ("fourier-sum", ("H.mtx", "manifest.json", "Z.mtx")),
+    ])
+    def test_inputs_hash_every_file_read(self, tmp_path, family, read):
+        gen, red = tmp_path / "gen", tmp_path / "red"
+        run("generate", "--family", family, "--n", "16", "--seed", "1",
+            "--out", str(gen))
+        assert run("reduce", str(gen), "--out", str(red)) == 0
+        assert load_report(red / "report.json")["inputs"] == {
+            str(gen / name): hashlib.sha256((gen / name).read_bytes()).hexdigest()
+            for name in read
+        }
+
     def test_zero_matrix_has_zero_residuals(self, tmp_path):
         a, start, red = tmp_path / "zero.mtx", tmp_path / "Z.mtx", tmp_path / "red"
         write_matrix(a, np.zeros((6, 6)))
@@ -209,6 +224,38 @@ class TestVerify:
         assert run("verify", str(a), str(c), "--k", "2") == 2
         out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert out["residual"] > 1e-3
+
+
+    @pytest.mark.parametrize("k", ["-1", "-3"])
+    def test_negative_claimed_rank_is_contract_error(self, tmp_path, capsys, k):
+        a, c = tmp_path / "A.mtx", tmp_path / "C.mtx"
+        write_matrix(a, np.diag([1.0 + 1j, 2.0, 3.0]))
+        write_matrix(c, np.zeros((3, 3)))
+        assert run("verify", str(a), str(c), "--k", k) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-negative integer" in captured.err
+
+    @pytest.mark.parametrize("family, extra", [
+        ("arrow", ()),
+        ("unitary", ()),
+        ("companion", ("--coeffs", "1" + ",0" * 15 + ",0.5")),
+        ("colleague", ("--coeffs", "1,0.5,-0.25" + ",0.125" * 14)),
+        ("curve", ("--curve", "circle")),
+        ("curve", ("--curve", "line")),
+        ("solved", ()),
+    ])
+    def test_generate_and_verify_never_read_the_range_basis(
+        self, tmp_path, monkeypatch, family, extra
+    ):
+        def refuse(self):
+            raise RuntimeError("range_basis computed")
+
+        monkeypatch.setattr(CommutatorCertificate, "range_basis", property(refuse))
+        gen = tmp_path / "gen"
+        assert run("generate", "--family", family, "--n", "16", *extra,
+                   "--out", str(gen)) == 0
+        assert run("verify", str(gen / "A.mtx"), str(gen / "C.mtx")) == 0
 
 
 class TestSpy:

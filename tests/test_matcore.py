@@ -232,6 +232,17 @@ class TestOrthonormalRange:
         assert subspace_inclusion_residual(Q, G) <= 1e-12
         assert subspace_inclusion_residual(G, Q) <= 1e-12
 
+    @pytest.mark.parametrize("rank", range(1, 4))
+    def test_tall_block_matches_the_svd_rule(self, rank):
+        rng = np.random.default_rng(rank)
+        Z = crandn(rng, 300, rank) @ crandn(rng, rank, 3) + 1e-14 * crandn(rng, 300, 3)
+        Q, s = orthonormal_range(Z)
+        res = svd(Z)
+        assert s == res.numerical_rank == rank
+        assert Q.shape == (300, rank)
+        assert fro(Q.conj().T @ Q - np.eye(rank)) <= 1e-13
+        assert subspace_inclusion_residual(Q, res.left_vectors[:, :rank]) <= 1e-12
+
     def test_zero_matrix_gives_empty_basis(self):
         Q, s = orthonormal_range(np.zeros((3, 2)))
         assert s == 0

@@ -29,6 +29,19 @@ def test_round_trip_exact(tmp_path, shape):
     assert np.array_equal(back, M)
 
 
+def test_round_trip_keeps_signed_zeros(tmp_path):
+    M = np.array(
+        [[complex(-0.0, -0.0), complex(-0.0, 1.5)],
+         [complex(2.5, -0.0), complex(0.0, -0.0)],
+         [complex(-0.0, 0.0), complex(-1e-300, -0.0)]]
+    )
+    path = tmp_path / "z.mtx"
+    write_matrix(path, M)
+    back = read_matrix(path)
+    assert back.shape == M.shape
+    assert np.array_equal(np.ascontiguousarray(back).view(np.uint64), M.view(np.uint64))
+
+
 def test_banner_is_standard(tmp_path):
     rng = np.random.default_rng(4)
     M = crandn(rng, 6, 4)
