@@ -9,8 +9,9 @@ Subcommands chain into reproducible file-based pipelines::
     blocktrid verify work/A.mtx work/C.mtx --k 2
 
 Exit codes: 0 success, 2 verification failure, 3 I/O error, 4 contract
-violation.  All reports are JSON with a fixed schema version and relative
-residuals; complex numbers are encoded as [real, imag] pairs.
+violation or numerical failure (a solver or SVD that does not converge).
+All reports are JSON with a fixed schema version and relative residuals;
+complex numbers are encoded as [real, imag] pairs.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from .almostnormal import (
     starting_block_curve,
     starting_block_rank_one,
 )
-from .errors import ContractError, GenerationError, LinearVarietyError, SolverFailure
+from .errors import ContractError, GenerationError, LinearVarietyError
+from .errors import NumericalError, SolverFailure
 from .generators import (
     arrow_hermitian_plus_rank_one,
     chebyshev_colleague,
@@ -482,7 +484,7 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"error: manifest is missing the {exc} field", file=sys.stderr)
         return EXIT_CONTRACT
-    except (ValueError, GenerationError, SolverFailure) as exc:
+    except (ValueError, GenerationError, NumericalError, SolverFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
 

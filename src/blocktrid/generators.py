@@ -368,10 +368,10 @@ def solve_commutator_equation(
     n = C.shape[0]
     if n > 16:
         raise ValueError(f"solver is limited to n <= 16, got {n}")
-    rank = svd(C).numerical_rank
-    if rank > 1:
-        raise ValueError(f"C must have rank at most 1, got rank {rank}")
-    if rank == 0:
+    sv = svd(C)
+    if sv.numerical_rank > 1:
+        raise ValueError(f"C must have rank at most 1, got rank {sv.numerical_rank}")
+    if sv.numerical_rank == 0:
         rng = _rng("solved_commutator", seed)
         lam = _crandn(rng, n)
         Q = _haar_unitary(rng, n)
@@ -383,9 +383,8 @@ def solve_commutator_equation(
             certificate=certify(X, C, 1),
             seed=seed,
         )
-    Uc, sc, Vc = np.linalg.svd(C)
-    u = sc[0] * Uc[:, 0]
-    v = Vc.conj().T[:, 0]
+    u = sv.singular_values[0] * sv.left_vectors[:, 0]
+    v = sv.right_vectors[:, 0]
     for attempt in range(8):
         rng = _rng("solved_commutator", seed, (attempt,))
         X0 = _block_tridiagonal_init(rng, n)

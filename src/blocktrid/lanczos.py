@@ -6,8 +6,8 @@ far (two passes of block Gram-Schmidt, so the certified block profile is not
 destroyed by loss of orthogonality).  Rank loss in a candidate block shrinks
 the block width permanently; a candidate of numerical rank zero before n
 columns is a breakdown, which is logged and handled by restarting from the
-first canonical basis vector not yet captured.  Across a breakdown boundary
-the reduced matrix is block diagonal.
+canonical basis vector least captured by the computed columns.  Across a
+breakdown boundary the reduced matrix is block diagonal.
 """
 
 from __future__ import annotations
@@ -105,8 +105,8 @@ def block_lanczos(H, Z, tol: float = DEFAULT_TOL) -> BlockTridiagonalization:
     -------
     BlockTridiagonalization
         The first ``rank(Z)`` basis columns span range(Z).  Block widths never
-        grow within an unbroken run; each restart opens a width-1 run and the
-        reduced matrix is block diagonal across every breakdown boundary.
+        grow within an unbroken run; each restart opens a width-1 run from the
+        least captured canonical vector, and trid is block diagonal across it.
 
     Raises
     ------
@@ -148,7 +148,7 @@ def block_lanczos(H, Z, tol: float = DEFAULT_TOL) -> BlockTridiagonalization:
         s, Vh = _append_range(U, cols, HUk, cutoff)
         if s.size == 0:
             events.append((len(sizes), cols))
-            U[:, cols] = _restart_vector(U, cols, n, tol)
+            _restart_vector(U, cols)
             sizes.append(1)
         else:
             Bk = s[:, None] * Vh
@@ -167,17 +167,14 @@ def block_lanczos(H, Z, tol: float = DEFAULT_TOL) -> BlockTridiagonalization:
     )
 
 
-def _restart_vector(U, cols, n, tol):
-    """First canonical basis vector with a projection residual above tol,
-    orthogonalized against the computed columns."""
-    for j in range(n):
-        e = np.zeros(n, dtype=np.complex128)
-        e[j] = 1.0
-        r = e - U[:, :cols] @ (U[:, :cols].conj().T @ e)
-        if np.linalg.norm(r) > tol:
-            r = r - U[:, :cols] @ (U[:, :cols].conj().T @ r)
-            return r / np.linalg.norm(r)
-    raise RuntimeError("no restart direction found; basis already complete")
+def _restart_vector(U, cols):
+    """Write into U[:, cols] the e_j with the smallest row norm ||P[j, :]|| of
+    P = U[:, :cols] (lowest j on ties), orthogonalized against P and
+    normalized by :func:`_append_range`.  The squared row norms sum to cols,
+    so e_j keeps a residual of at least sqrt(1 - cols / n) above the cut 0."""
+    e = np.zeros((U.shape[0], 1), dtype=np.complex128)
+    e[np.argmin(np.linalg.norm(U[:, :cols], axis=1))] = 1.0
+    _append_range(U, cols, e, 0.0)
 
 
 def krylov_levels(M, Z, j_max: int, tol: float = DEFAULT_TOL):
@@ -185,13 +182,14 @@ def krylov_levels(M, Z, j_max: int, tol: float = DEFAULT_TOL):
 
     K_j(M, Z) = range([Z, M Z, ..., M^j Z]).  Returns ``(B, dims)`` where the
     level-j basis is ``B[:, :dims[j]]``; new directions are only ever appended,
-    so level bases are prefixes of one another.
+    so level bases are prefixes of one another.  New directions are kept above
+    ``tol * ||M||_F``, the cut of :func:`block_lanczos`.
     """
     M, Z = _check_operands(M, Z, "M")
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
     n = M.shape[0]
-
+    cutoff = tol * fro(M)
     B = np.zeros((n, n), dtype=np.complex128)
     Q0, s0 = orthonormal_range(Z, tol)
     B[:, :s0] = Q0
@@ -202,7 +200,7 @@ def krylov_levels(M, Z, j_max: int, tol: float = DEFAULT_TOL):
         if f_width > 0 and c < n:
             R = M @ B[:, f_start : f_start + f_width]
             f_start = c
-            f_width = _append_range(B, c, R, tol * np.linalg.norm(R, 2))[0].size
+            f_width = _append_range(B, c, R, cutoff)[0].size
         else:
             f_width = 0
         dims.append(c + f_width)

@@ -191,10 +191,10 @@ def qr_iteration_tracked(
     (tol must be positive); the iteration stops early once everything has
     converged.
     """
-    A = as_matrix(A0, "A0").copy()
+    A = as_square(A0, "A0").copy()
     C = as_matrix(C0, "C0").copy()
-    if A.shape != C.shape or A.shape[0] != A.shape[1]:
-        raise DimensionError("A0 and C0 must be square with equal shape")
+    if C.shape != A.shape:
+        raise DimensionError(f"C0 has shape {C.shape}, A0 is {A.shape}")
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if not tol > 0:

@@ -106,13 +106,14 @@ class TestReduce:
         assert report["rotation_phase"] == [1.0, 0.0]
 
     def test_fourier_breakdown_reported_not_failed(self, tmp_path):
-        gen, red = tmp_path / "gen", tmp_path / "red"
-        run("generate", "--family", "fourier-sum", "--n", "16", "--seed", "1",
-            "--out", str(gen))
-        assert run("reduce", str(gen), "--out", str(red)) == 0
-        report = load_report(red / "report.json")
-        assert report["restarted"]
-        assert report["breakdown_events"][0][0] <= 3
+        for n, seed in ((16, 1), (128, 0)):
+            gen, red = tmp_path / f"gen{n}", tmp_path / f"red{n}"
+            run("generate", "--family", "fourier-sum", "--n", str(n),
+                "--seed", str(seed), "--out", str(gen))
+            assert run("reduce", str(gen), "--out", str(red)) == 0
+            report = load_report(red / "report.json")
+            assert report["restarted"]
+            assert report["breakdown_events"][0][0] <= 3
 
     def test_explicit_start_block(self, tmp_path):
         gen, red = tmp_path / "gen", tmp_path / "red"
@@ -202,6 +203,21 @@ class TestVerify:
         write_matrix(a, np.diag([1.0 + 1j, 2.0, 3.0]))
         write_matrix(c, np.zeros((3, 3)))
         assert run("verify", str(a), str(c), "--k", "0") == 0
+
+    def test_svd_failure_is_numerical_error_exit(self, tmp_path, capsys, monkeypatch):
+        gen = tmp_path / "gen"
+        run("generate", "--family", "unitary", "--n", "12", "--seed", "5",
+            "--out", str(gen))
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        capsys.readouterr()
+        assert run("verify", str(gen / "A.mtx"), str(gen / "C.mtx"), "--k", "2") == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: SVD iteration failed to converge")
 
     def test_wrong_perturbation_fails(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

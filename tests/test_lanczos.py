@@ -11,6 +11,8 @@ from blocktrid import (
     hermitian_part,
     krylov_basis,
     krylov_inclusion_check,
+    numerical_rank,
+    off_profile_residual,
     orthonormal_range,
     random_unitary_plus_rank_one,
     subspace_inclusion_residual,
@@ -85,7 +87,7 @@ class TestBlockLanczos:
         for _, col in red.breakdown_events:
             assert np.linalg.norm(M[:col, col:]) <= 1e-10 * fro(H)
 
-    @pytest.mark.parametrize("n, seed", [(8, 1), (64, 163)])
+    @pytest.mark.parametrize("n, seed", [(8, 1), (64, 163), (128, 0), (256, 0)])
     def test_trid_exactly_zero_across_breakdowns(self, n, seed):
         H, Z = fourier_sum(n, seed)
         red = block_lanczos(H, Z)
@@ -93,6 +95,21 @@ class TestBlockLanczos:
         for _, col in red.breakdown_events:
             assert np.all(red.trid[:col, col:] == 0)
             assert np.all(red.trid[col:, :col] == 0)
+        # a Krylov space meets ker H only in the kernel part of its start, so
+        # covering the kernel takes at least dim ker H - rank Z restarts
+        assert len(red.breakdown_events) >= (n - numerical_rank(H)) - Z.shape[1]
+
+    def test_fourier_restarts_keep_residuals_at_roundoff(self):
+        # F + F^H has eigenvalues 2, -2 and 0 only, so every run breaks down
+        # within three steps; a restart direction almost inside the computed
+        # span would turn roundoff into blocks right at the rank cut
+        for seed in [*range(150), 163]:
+            H, Z = fourier_sum(64, seed)
+            red = block_lanczos(H, Z)
+            U, T = red.basis, red.trid
+            M = U.conj().T @ H @ U
+            assert fro(M - T) <= 1e-10 * fro(H)
+            assert off_profile_residual(M, red.block_sizes) <= 1e-10 * fro(H)
 
     def test_block_narrows_inside_run(self):
         # a 4-fold eigenvalue caps the Krylov space of a generic 3-column
