@@ -199,6 +199,8 @@ def _build_instance(args):
         return random_unitary_plus_rank_one(args.n, args.seed)
     if fam == "solved":
         n = args.n
+        if n < 2:
+            raise ValueError(f"solved instances need n >= 2, got {n}")
         C = np.zeros((n, n), dtype=np.complex128)
         if args.c_kind == "independent":
             C[0, 1] = 1.0

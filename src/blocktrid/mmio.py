@@ -1,9 +1,11 @@
 """Matrix Market array interchange.
 
 Matrices travel as Matrix Market dense arrays (``%%MatrixMarket matrix array
-complex general``, column-major entry order) with 17 significant decimal
-digits per component, enough to round-trip binary64 exactly.  Real arrays are
-accepted on input for convenience.
+complex general``, column-major entry order).  Each component is written as
+the shortest decimal that round-trips binary64 (orjson's formatter), so every
+value reads back bit for bit, the sign of a zero included, and
+``scipy.io.mmread`` reads the files.  Real arrays are accepted on input for
+convenience.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+import orjson
 
 from .matcore import as_matrix
 
@@ -23,16 +26,20 @@ _BANNER = "%%MatrixMarket matrix array complex general\n"
 
 
 def write_matrix(path, M) -> None:
-    """Write a dense complex matrix as a Matrix Market array file."""
+    """Write a dense complex matrix as a Matrix Market array file.
+
+    Columns are formatted one at a time, so at most one column's text is held
+    in memory.
+    """
     M = as_matrix(M)
     rows, cols = M.shape
-    column = "%.16e %.16e\n" * rows
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(_BANNER)
-        fh.write(f"{rows} {cols}\n")
+    with open(path, "wb") as fh:
+        fh.write(f"{_BANNER}{rows} {cols}\n".encode("ascii"))
         for j in range(cols):
-            parts = np.ascontiguousarray(M[:, j]).view(np.float64)
-            fh.write(column % tuple(parts.tolist()))
+            parts = np.ascontiguousarray(M[:, j]).view(np.float64).reshape(rows, 2)
+            # [[re,im],[re,im],...] -> "re im\nre im\n..."
+            text = orjson.dumps(parts, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2]
+            fh.write(text.replace(b"],[", b"\n").replace(b",", b" ") + b"\n")
 
 
 def read_matrix(path) -> np.ndarray:

@@ -61,6 +61,16 @@ class TestGenerate:
         with pytest.raises(SystemExit):
             run("generate", "--family", "nonsense", "--out", str(tmp_path))
 
+    @pytest.mark.parametrize("c_kind", ["independent", "dependent"])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_solved_below_two_is_contract_error(self, tmp_path, capsys, n, c_kind):
+        out = tmp_path / "gen"
+        assert run("generate", "--family", "solved", "--n", str(n),
+                   "--c-kind", c_kind, "--out", str(out)) == 4
+        err = capsys.readouterr().err
+        assert err == f"error: solved instances need n >= 2, got {n}\n"
+        assert not (out / "A.mtx").exists()
+
 
 class TestReduce:
     def test_arrow_pipeline(self, tmp_path):

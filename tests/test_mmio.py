@@ -1,8 +1,12 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.io
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from blocktrid.cli import EXIT_IO, main
 from blocktrid.mmio import (
@@ -18,7 +22,7 @@ def crandn(rng, *shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (5, 3), (3, 5), (8, 8)])
+@pytest.mark.parametrize("shape", [(1, 1), (5, 3), (3, 5), (8, 8), (1, 7), (7, 1)])
 def test_round_trip_exact(tmp_path, shape):
     rng = np.random.default_rng(sum(shape))
     M = crandn(rng, *shape) * 10.0 ** rng.integers(-8, 8)
@@ -29,17 +33,62 @@ def test_round_trip_exact(tmp_path, shape):
     assert np.array_equal(back, M)
 
 
+# binary64 values whose shortest decimal is easy to get wrong: subnormals, the
+# smallest normal, the largest finite, integers past 2**53 and the powers of
+# ten around the last exactly representable one
+EDGE_VALUES = np.array([
+    5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    -2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+    2.0**53 + 2, -(2.0**60), 2.0**63 + 2048, 1e16, 1e22, 1e23, -1e23,
+])
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(
+        np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64)
+    )
+
+
 def test_round_trip_keeps_signed_zeros(tmp_path):
-    M = np.array(
+    zeros = np.array(
         [[complex(-0.0, -0.0), complex(-0.0, 1.5)],
          [complex(2.5, -0.0), complex(0.0, -0.0)],
          [complex(-0.0, 0.0), complex(-1e-300, -0.0)]]
     )
+    edges = EDGE_VALUES + 1j * EDGE_VALUES[::-1]
     path = tmp_path / "z.mtx"
+    for M in (zeros, edges[None, :], edges[:, None]):
+        write_matrix(path, M)
+        assert_same_bits(read_matrix(path), M)
+        assert np.array_equal(scipy.io.mmread(path), M)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 6), st.integers(1, 6), st.just(2)),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    )
+)
+def test_any_finite_array_round_trips(tmp_path_factory, parts):
+    M = np.ascontiguousarray(parts).view(np.complex128)[:, :, 0]
+    path = tmp_path_factory.mktemp("prop") / "m.mtx"
     write_matrix(path, M)
-    back = read_matrix(path)
-    assert back.shape == M.shape
-    assert np.array_equal(np.ascontiguousarray(back).view(np.uint64), M.view(np.uint64))
+    assert_same_bits(read_matrix(path), M)
+    assert np.array_equal(scipy.io.mmread(path), M)
+
+
+def test_write_streams_one_column_at_a_time(tmp_path):
+    M = crandn(np.random.default_rng(11), 256, 256)
+    tracemalloc.start()
+    try:
+        write_matrix(tmp_path / "big.mtx", M)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < M.nbytes
 
 
 def test_banner_is_standard(tmp_path):
