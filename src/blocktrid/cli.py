@@ -25,6 +25,7 @@ import sys
 import time
 
 import numpy as np
+import orjson
 
 from . import __version__
 from .almostnormal import (
@@ -53,6 +54,9 @@ from .mmio import MatrixMarketError, read_matrix, read_vector, write_matrix, wri
 from .structure import off_profile_residual, qr_iteration_tracked
 
 SCHEMA_VERSION = "1"
+_JSON_OPTIONS = (
+    orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
+)
 
 EXIT_OK = 0
 EXIT_VERIFY = 2
@@ -117,9 +121,15 @@ def _cert_to_json(cert) -> dict | None:
 
 
 def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write ``payload`` as indented UTF-8 JSON with sorted keys.
+
+    orjson writes a non-finite float as ``null``; it raises
+    ``orjson.JSONEncodeError`` for an integer outside 64 bits or a string
+    that is not valid UTF-8, before the file is opened.
+    """
+    text = orjson.dumps(payload, option=_JSON_OPTIONS)
+    with open(path, "wb") as fh:
+        fh.write(text + b"\n")
 
 
 def _parse_coeffs(text: str) -> list[complex]:
@@ -266,7 +276,7 @@ def cmd_reduce(args, argv) -> int:
     in_path = args.input
     if os.path.isdir(in_path):
         manifest_path = os.path.join(in_path, "manifest.json")
-        with open(manifest_path, "r", encoding="ascii") as fh:
+        with open(manifest_path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
         in_dir = in_path
         matrix_path = os.path.join(in_dir, manifest["files"]["matrix"])
@@ -486,7 +496,8 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"error: manifest is missing the {exc} field", file=sys.stderr)
         return EXIT_CONTRACT
-    except (ValueError, GenerationError, NumericalError, SolverFailure) as exc:
+    except (ValueError, GenerationError, NumericalError, SolverFailure,
+            orjson.JSONEncodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
 

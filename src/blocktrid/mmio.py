@@ -6,10 +6,19 @@ the shortest decimal that round-trips binary64 (orjson's formatter), so every
 value reads back bit for bit, the sign of a zero included, and
 ``scipy.io.mmread`` reads the files.  Real arrays are accepted on input for
 convenience.
+
+Reading parses a body in the writer's layout (one entry per line, tokens
+separated by single spaces) with orjson, ``PANEL_BYTES`` of whole lines at a
+time, so memory beyond the result stays near one panel.  Any other body
+(comment lines, CRLF, other spacing, ``nan``, ``%.17g`` integers such as
+``-0``) is parsed by ``np.loadtxt``, with the same values and errors.  A
+non-ASCII byte in a file raises ``MatrixMarketError``.
 """
 
 from __future__ import annotations
 
+import io
+import os
 import warnings
 
 import numpy as np
@@ -23,6 +32,11 @@ class MatrixMarketError(Exception):
 
 
 _BANNER = "%%MatrixMarket matrix array complex general\n"
+
+# bytes of whole body lines parsed per orjson call
+PANEL_BYTES = 1 << 16
+_NUMBER_BYTES = b"0123456789.eE+-"
+_TO_COMMAS = bytes.maketrans(b" \n", b",,")
 
 
 def write_matrix(path, M) -> None:
@@ -44,9 +58,8 @@ def write_matrix(path, M) -> None:
 
 def read_matrix(path) -> np.ndarray:
     """Read a Matrix Market dense array file (complex or real, general)."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline()
-        tokens = header.strip().lower().split()
+    with open(path, "rb") as fh:
+        tokens = _header_line(fh, path).strip().lower().split()
         if len(tokens) != 5 or tokens[0] != "%%matrixmarket":
             raise MatrixMarketError(f"{path}: not a Matrix Market file")
         _, obj, fmt, field, symmetry = tokens
@@ -56,23 +69,28 @@ def read_matrix(path) -> np.ndarray:
             raise MatrixMarketError(f"{path}: unsupported field {field!r}")
         if symmetry != "general":
             raise MatrixMarketError(f"{path}: only 'general' symmetry is supported")
-        line = fh.readline()
+        line = _header_line(fh, path)
         while line.startswith("%"):
-            line = fh.readline()
+            line = _header_line(fh, path)
         try:
             rows, cols = (int(t) for t in line.split())
         except ValueError as exc:
             raise MatrixMarketError(f"{path}: malformed size line {line!r}") from exc
         if rows < 1 or cols < 1:
             raise MatrixMarketError(f"{path}: empty array {rows}x{cols}")
-        with warnings.catch_warnings():
-            # an empty body is reported below as a wrong entry count
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            try:
-                body = np.loadtxt(fh, comments="%", ndmin=2)
-            except ValueError as exc:
-                raise MatrixMarketError(f"{path}: malformed entry: {exc}") from exc
-    width = 2 if field == "complex" else 1
+        width = 2 if field == "complex" else 1
+        start = fh.tell()
+        body = _read_panels(fh, rows * cols, width)
+        if body is None:
+            fh.seek(start)
+            with warnings.catch_warnings():
+                # an empty body is reported below as a wrong entry count
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                try:
+                    text = io.TextIOWrapper(fh, encoding="ascii")
+                    body = np.loadtxt(text, comments="%", ndmin=2)
+                except ValueError as exc:
+                    raise MatrixMarketError(f"{path}: malformed entry: {exc}") from exc
     if body.shape != (rows * cols, width):
         raise MatrixMarketError(
             f"{path}: expected {rows * cols} {field} entries of {width} numbers, "
@@ -84,6 +102,50 @@ def read_matrix(path) -> np.ndarray:
     else:
         values = body[:, 0].astype(np.complex128)
     return values.reshape((rows, cols), order="F")
+
+
+def _header_line(fh, path) -> str:
+    raw = fh.readline()
+    try:
+        return raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise MatrixMarketError(f"{path}: non-ASCII header line {raw!r}") from exc
+
+
+def _read_panels(fh, entries: int, width: int) -> np.ndarray | None:
+    """The rest of ``fh`` as an ``(entries, width)`` array, or None.
+
+    Each panel of whole lines goes through one ``orjson.loads`` of its
+    comma-joined tokens.  Returns None, with part of the body consumed,
+    unless there are ``entries`` lines of ``width`` JSON floats separated by
+    single spaces; a JSON integer counts as foreign, since orjson reads
+    ``-0`` as the int 0.
+    """
+    if 2 * entries * width > os.fstat(fh.fileno()).st_size - fh.tell():
+        return None  # too short for the declared size, whatever the layout
+    out = np.empty(entries * width)
+    line = b" " * (width - 1) + b"\n"
+    filled, rest = 0, b""
+    while block := fh.read(PANEL_BYTES):
+        cut = block.rfind(b"\n") + 1
+        if cut == 0:
+            return None
+        panel, rest = rest + block[:cut], block[cut:]
+        seps = panel.translate(None, _NUMBER_BYTES)
+        if seps != line * (len(seps) // width):
+            return None
+        try:
+            values = orjson.loads(b"[" + panel[:-1].translate(_TO_COMMAS) + b"]")
+        except orjson.JSONDecodeError:
+            return None
+        count = len(values)
+        if filled + count > out.size or set(map(type, values)) != {float}:
+            return None
+        out[filled:filled + count] = np.fromiter(values, np.float64, count)
+        filled += count
+    if rest or filled != out.size:
+        return None
+    return out.reshape(entries, width)
 
 
 def write_vector(path, v) -> None:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from blocktrid.almostnormal import CommutatorCertificate, certify
+from blocktrid import cli
 from blocktrid.cli import main
 from blocktrid.mmio import read_matrix, write_matrix
 
@@ -369,3 +370,65 @@ class TestQrTrack:
         assert run("qr-track", str(red / "A_trid.mtx"), str(red / "C_trid.mtx"),
                    "--tol", "0") == 4
         assert "tol must be positive, got 0.0" in capsys.readouterr().err
+
+
+class TestReports:
+    @pytest.fixture
+    def payloads(self, monkeypatch):
+        """Every payload a command hands to the report writer, by path."""
+        seen = {}
+        write = cli._write_json
+
+        def record(path, payload):
+            seen[str(path)] = payload
+            write(path, payload)
+
+        monkeypatch.setattr(cli, "_write_json", record)
+        return seen
+
+    def test_reports_read_back_as_built(self, tmp_path, payloads):
+        gen, red, track = tmp_path / "gen", tmp_path / "red", tmp_path / "track.json"
+        assert run("generate", "--family", "curve", "--curve", "circle", "--n", "24",
+                   "--seed", "2", "--out", str(gen)) == 0
+        assert run("reduce", str(gen), "--out", str(red)) == 0
+        assert run("qr-track", str(red / "A_trid.mtx"), str(red / "C_trid.mtx"),
+                   "--steps", "5", "--out", str(track)) == 0
+        assert len(payloads) == 3
+        for path, payload in payloads.items():
+            # what json.dump(indent=2, sort_keys=True) wrote reads back the same
+            old = json.loads(json.dumps(payload, indent=2, sort_keys=True))
+            assert load_report(path) == old
+
+    def test_numpy_scalars_and_arrays_serialize(self, tmp_path):
+        path = tmp_path / "r.json"
+        cli._write_json(path, {"f": np.float64(0.1), "i": np.int64(-3),
+                               "b": np.bool_(True), "a": np.arange(3.0)})
+        assert load_report(path) == {"f": 0.1, "i": -3, "b": True, "a": [0.0, 1.0, 2.0]}
+        assert path.read_bytes().endswith(b"\n")
+
+    def test_non_finite_floats_are_null(self, tmp_path):
+        path = tmp_path / "r.json"
+        cli._write_json(path, {"nan": float("nan"), "inf": -np.inf})
+        assert load_report(path) == {"nan": None, "inf": None}
+
+    def test_non_ascii_paths_round_trip_as_utf8(self, tmp_path):
+        gen, red = tmp_path / "gén", tmp_path / "réduit"
+        track = tmp_path / "suivi.json"
+        assert run("generate", "--family", "arrow", "--n", "12", "--seed", "1",
+                   "--out", str(gen)) == 0
+        assert run("reduce", str(gen), "--out", str(red)) == 0
+        a, c = str(red / "A_trid.mtx"), str(red / "C_trid.mtx")
+        assert run("qr-track", a, c, "--steps", "2", "--out", str(track)) == 0
+        report = load_report(red / "report.json")
+        assert report["command"] == f"reduce {gen} --out {red}"
+        assert str(gen / "A.mtx") in report["inputs"]
+        tracked = load_report(track)
+        assert set(tracked["inputs"]) == {a, c}
+        assert "réduit".encode() in track.read_bytes()
+
+    def test_unencodable_report_is_contract_error(self, tmp_path, capsys):
+        out = tmp_path / "gen"
+        assert run("generate", "--family", "arrow", "--n", "8",
+                   "--seed", str(2**70), "--out", str(out)) == 4
+        assert capsys.readouterr().err == "error: Integer exceeds 64-bit range\n"
+        assert not (out / "manifest.json").exists()

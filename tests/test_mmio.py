@@ -1,3 +1,5 @@
+import gc
+import os
 import tracemalloc
 import warnings
 
@@ -10,7 +12,9 @@ from hypothesis.extra import numpy as hnp
 
 from blocktrid.cli import EXIT_IO, main
 from blocktrid.mmio import (
+    PANEL_BYTES,
     MatrixMarketError,
+    _read_panels,
     read_matrix,
     read_vector,
     write_matrix,
@@ -91,6 +95,143 @@ def test_write_streams_one_column_at_a_time(tmp_path):
     assert peak < M.nbytes
 
 
+def foreign(path, text):
+    """Write ``text`` (the writer's layout) with a comment after the size
+    line, a layout the orjson panels refuse, so ``np.loadtxt`` parses it."""
+    banner, size, body = text.split(b"\n", 2)
+    path.write_bytes(b"\n".join([banner, size, b"% loadtxt", body]))
+    return path
+
+
+def read_fast(path, entries, width):
+    with open(path, "rb") as fh:
+        fh.readline()
+        fh.readline()
+        return _read_panels(fh, entries, width)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 6), st.integers(1, 6), st.just(2)),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    )
+)
+def test_panels_and_loadtxt_agree(tmp_path_factory, parts):
+    M = np.ascontiguousarray(parts).view(np.complex128)[:, :, 0]
+    d = tmp_path_factory.mktemp("agree")
+    write_matrix(d / "m.mtx", M)
+    fast = read_fast(d / "m.mtx", M.size, 2)
+    assert fast is not None
+    assert_same_bits(fast.view(np.complex128)[:, 0].reshape(M.shape, order="F"), M)
+    assert_same_bits(read_matrix(foreign(d / "f.mtx", (d / "m.mtx").read_bytes())), M)
+
+
+def big_text(rng, rows=64, cols=64):
+    """A matrix whose written body spans several panels, and its text."""
+    M = crandn(rng, rows, cols)
+    M[::7, ::5] = complex(-0.0, 0.0)
+    M[3::11, 2::3] = complex(3.0, -0.0)
+    lines = [f"{z.real!r} {z.imag!r}" for z in M.ravel(order="F").tolist()]
+    return M, lines
+
+
+BANNER = "%%MatrixMarket matrix array complex general"
+
+
+@pytest.mark.parametrize(
+    "layout", ["mid-comments", "crlf", "spaces", "17g", "trailing-comment"]
+)
+def test_foreign_layouts_read_like_loadtxt(tmp_path, layout):
+    M, lines = big_text(np.random.default_rng(8))
+    size = f"{M.shape[0]} {M.shape[1]}"
+    if layout == "mid-comments":
+        for at in (len(lines) - 10, len(lines) // 2, 3000):
+            lines.insert(at, "% a comment inside the body")
+    elif layout == "spaces":
+        lines = [" " + ln.replace(" ", "  ") + " " for ln in lines]
+    elif layout == "17g":
+        lines = ["%.17g %.17g" % (z.real, z.imag) for z in M.ravel(order="F")]
+        assert {"-0 0", "3 -0"} <= set(lines)
+    elif layout == "trailing-comment":
+        lines[-1] += " % last"
+    eol = "\r\n" if layout == "crlf" else "\n"
+    text = eol.join([BANNER, size, *lines]) + eol
+    assert len(text) > 2 * PANEL_BYTES
+    path = tmp_path / "f.mtx"
+    path.write_bytes(text.encode("ascii"))
+    assert read_fast(path, M.size, 2) is None
+    assert_same_bits(read_matrix(path), M)
+
+
+@pytest.mark.parametrize(
+    "field, tokens, fast",
+    [
+        ("real", ["1.5", "-0.0", "2e-300", "1.7976931348623157e308"], True),
+        ("real", ["1.5", "-0", "7", "1e400"], False),
+        ("integer", ["1", "-0", "123456789012345678901234567", "-5"], False),
+    ],
+)
+def test_real_and_integer_fields(tmp_path, field, tokens, fast):
+    text = f"%%MatrixMarket matrix array {field} general\n2 2\n" + "\n".join(tokens) + "\n"
+    path = tmp_path / "r.mtx"
+    path.write_text(text)
+    expected = np.array([float(t) for t in tokens]).reshape(2, 2, order="F")
+    assert (read_fast(path, 4, 1) is not None) == fast
+    M = read_matrix(path)
+    assert_same_bits(M.real, expected)
+    assert not M.imag.any()
+
+
+def test_malformed_token_after_first_panel(tmp_path):
+    M, lines = big_text(np.random.default_rng(9))
+    lines[-5] = "1.0 x"
+    path = tmp_path / "bad.mtx"
+    path.write_text("\n".join([BANNER, "64 64", *lines]) + "\n")
+    assert lines.index("1.0 x") * 30 > PANEL_BYTES
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MatrixMarketError, match="malformed entry"):
+            read_matrix(path)
+        gc.collect()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        b"%%MatrixMarket matrix array complex g\xe9n\xe9ral\n1 1\n1.0 0.0\n",
+        b"%%MatrixMarket matrix array complex general\n% caf\xe9\n1 1\n1.0 0.0\n",
+        b"%%MatrixMarket matrix array complex general\n1 1\n1.0 0.0\xe9\n",
+    ],
+    ids=["banner", "header-comment", "body"],
+)
+def test_non_ascii_byte_is_an_io_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.mtx"
+    path.write_bytes(text)
+    with pytest.raises(MatrixMarketError, match="bad.mtx"):
+        read_matrix(path)
+    assert main(["spy", str(path)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+def test_read_parses_one_panel_at_a_time(tmp_path):
+    M = crandn(np.random.default_rng(11), 256, 256)
+    path = tmp_path / "big.mtx"
+    write_matrix(path, M)
+    tracemalloc.start()
+    try:
+        back = read_matrix(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, M)
+    # the result plus a few panels' bytes, tokens and floats; parsing the
+    # whole body at once would hold the 2.6 MB text and more
+    assert peak < M.nbytes + 8 * PANEL_BYTES < os.path.getsize(path) / 1.5
+
+
 def test_banner_is_standard(tmp_path):
     rng = np.random.default_rng(4)
     M = crandn(rng, 6, 4)
@@ -167,8 +308,9 @@ def test_entry_count_mismatch_rejected(tmp_path):
         "2 1\n1.0\n2.0\n",  # one number per complex entry
         "1 1\n1.0 0.0\n2.0 0.0\n",  # more entries than declared
         "2 2\n",  # size line and no entries
+        "100000000 100000000\n1.0 0.0\n",  # far more entries than bytes
     ],
-    ids=["token", "one-number", "extra-entry", "no-body"],
+    ids=["token", "one-number", "extra-entry", "no-body", "huge-size"],
 )
 def test_malformed_body_rejected(tmp_path, capsys, body):
     path = tmp_path / "bad.mtx"
