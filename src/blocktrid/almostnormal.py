@@ -171,7 +171,7 @@ def starting_block_rank_one(A, u, v, tol: float = 1e-8) -> np.ndarray:
     if nv == 0.0:
         return u[:, None].copy()
     pair = np.column_stack([u / nu, v / nv])
-    smin = np.linalg.svd(pair, compute_uv=False)[-1]
+    smin = _checked_svd(pair, compute_uv=False)[-1]
     if smin > tol:
         return np.column_stack([u, v])
     return u[:, None].copy()
@@ -312,14 +312,14 @@ def conic_fit(eigenvalues, tol: float = DEFAULT_TOL) -> ConicCoefficients:
     x = pts.real
     y = pts.imag
     design = np.column_stack([x * x, y * y, x * y, x, y, np.ones_like(x)])
-    _, s, Vh = np.linalg.svd(design, full_matrices=True)
+    _, s, Vh = _checked_svd(design, full_matrices=True)
     s_full = np.zeros(6)
     s_full[: s.size] = s
     null_dim = int(np.count_nonzero(s_full <= tol * s_full[0]))
     degenerate = null_dim >= 2
     if degenerate:
         W = Vh[6 - null_dim :].T  # orthonormal nullspace basis, shape (6, k)
-        uq, sq, vq = np.linalg.svd(W[:3, :], full_matrices=True)
+        uq, sq, vq = _checked_svd(W[:3, :], full_matrices=True)
         sq_full = np.zeros(null_dim)
         sq_full[: sq.size] = sq
         if sq_full[-1] <= 1e-8:

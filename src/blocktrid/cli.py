@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import json
 import os
 import sys
 import time
@@ -54,9 +53,8 @@ from .mmio import MatrixMarketError, read_matrix, read_vector, write_matrix, wri
 from .structure import off_profile_residual, qr_iteration_tracked
 
 SCHEMA_VERSION = "1"
-_JSON_OPTIONS = (
-    orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
-)
+_STDOUT_JSON_OPTIONS = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
+_JSON_OPTIONS = _STDOUT_JSON_OPTIONS | orjson.OPT_INDENT_2
 
 EXIT_OK = 0
 EXIT_VERIFY = 2
@@ -132,6 +130,12 @@ def _write_json(path, payload) -> None:
         fh.write(text + b"\n")
 
 
+def _print_json(payload) -> None:
+    """Print ``payload`` on one line, encoded as :func:`_write_json` encodes
+    it but compact; ``print`` also works on a stdout without a byte buffer."""
+    print(orjson.dumps(payload, option=_STDOUT_JSON_OPTIONS).decode())
+
+
 def _parse_coeffs(text: str) -> list[complex]:
     try:
         return [complex(tok) for tok in text.split(",") if tok.strip()]
@@ -186,7 +190,7 @@ def cmd_generate(args, argv) -> int:
         manifest["params"]["alpha"] = _cplx(complex(args.alpha))
     manifest["files"] = files
     _write_json(os.path.join(out, "manifest.json"), manifest)
-    print(json.dumps({"out": out, "files": files}, sort_keys=True))
+    _print_json({"out": out, "files": files})
     return EXIT_OK
 
 
@@ -248,10 +252,8 @@ def _starting_block(manifest, in_dir, A, inputs):
             raise ContractError("commutator vanishes; nothing to reduce structurally")
         return basis[:, : min(dim, 4)], 1.0 + 0j
     if fam == "curve":
-        conic = _conic_from_json(manifest["conic"]) if "conic" in manifest else None
+        conic = _conic_from_json(manifest["conic"])
         u, v = vec("u"), vec("v")
-        if conic is None:
-            return starting_block_curve(A, u, v, None), 1.0 + 0j
         try:
             rotated = rotate_leading_form(conic)
         except LinearVarietyError:
@@ -276,8 +278,8 @@ def cmd_reduce(args, argv) -> int:
     in_path = args.input
     if os.path.isdir(in_path):
         manifest_path = os.path.join(in_path, "manifest.json")
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
+        with open(manifest_path, "rb") as fh:
+            manifest = orjson.loads(fh.read())
         in_dir = in_path
         matrix_path = os.path.join(in_dir, manifest["files"]["matrix"])
     else:
@@ -340,8 +342,7 @@ def cmd_reduce(args, argv) -> int:
         "elapsed_ms": (time.perf_counter() - t0) * 1e3,
     }
     _write_json(os.path.join(args.out, "report.json"), report)
-    print(json.dumps({k: v for k, v in report.items() if k != "elapsed_ms"},
-                     sort_keys=True))
+    _print_json({k: v for k, v in report.items() if k != "elapsed_ms"})
     checked = [v for v in residuals.values() if v is not None]
     return EXIT_OK if all(v <= args.tol for v in checked) else EXIT_VERIFY
 
@@ -355,7 +356,7 @@ def cmd_verify(args, argv) -> int:
         "tool_version": __version__,
         **_cert_to_json(cert),
     }
-    print(json.dumps(report, sort_keys=True))
+    _print_json(report)
     return EXIT_OK if cert.valid else EXIT_VERIFY
 
 
@@ -419,10 +420,9 @@ def cmd_qr_track(args, argv) -> int:
     }
     if args.out:
         _write_json(args.out, payload)
-    print(json.dumps({"within_rank_bound": ok,
-                      "steps_run": len(report.iterations),
-                      "converged": len(report.converged_eigenvalues)},
-                     sort_keys=True))
+    _print_json({"within_rank_bound": ok,
+                 "steps_run": len(report.iterations),
+                 "converged": len(report.converged_eigenvalues)})
     return EXIT_OK if ok else EXIT_VERIFY
 
 

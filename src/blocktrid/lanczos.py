@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ContractError, DimensionError
 from .matcore import (
     DEFAULT_TOL,
+    _checked_svd,
     antihermitian_part,
     as_matrix,
     as_square,
@@ -80,7 +81,7 @@ def _append_range(B, cols, R, cutoff):
         P = B[:, :cols]
         for _ in range(2):
             R = R - P @ (R.conj().T @ P).conj().T
-    Q, s, Vh = np.linalg.svd(R, full_matrices=False)
+    Q, s, Vh = _checked_svd(R, full_matrices=False)
     keep = int(np.count_nonzero(s > cutoff))
     B[:, cols : cols + keep] = Q[:, :keep]
     return s[:keep], Vh[:keep]

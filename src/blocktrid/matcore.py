@@ -109,14 +109,15 @@ class SvdResult:
 
 
 def _checked_svd(M, **kwargs):
-    """``np.linalg.svd(M, **kwargs)`` for a validated M; a LAPACK
-    non-convergence raises ``NumericalError``."""
+    """``np.linalg.svd(M, **kwargs)`` for a validated M or a stack of them, the
+    package's one SVD; a LAPACK non-convergence raises ``NumericalError``."""
     try:
         return np.linalg.svd(M, **kwargs)
     except np.linalg.LinAlgError as exc:
+        kind = "matrix" if M.ndim == 2 else "matrix stack"
         raise NumericalError(
-            f"SVD iteration failed to converge for a {M.shape[0]}x{M.shape[1]} "
-            f"matrix with Frobenius norm {fro(M):.3e}"
+            f"SVD iteration failed to converge for a {'x'.join(map(str, M.shape))} "
+            f"{kind} with Frobenius norm {fro(M):.3e}"
         ) from exc
 
 

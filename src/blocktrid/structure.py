@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .matcore import DEFAULT_TOL, as_matrix, as_square, commutator, fro
+from .matcore import DEFAULT_TOL, _checked_svd, as_matrix, as_square, commutator, fro
 
 PANEL_WIDTH = 32
 
@@ -129,23 +129,6 @@ class QrTrackReport:
     discarded_norm: float
 
 
-def _outside_blocks(sizes):
-    """Row (g x b x 1) and column (g x 1 x b) indices, clipped to n - 1, of
-    the blocks strictly above the block tridiagonal envelope (column block at
-    least two right of the row block), row-major, each padded to
-    b = max(sizes); and the g x b x b mask of the entries inside each block.
-    Zero padding leaves a block's nonzero singular values unchanged.
-    """
-    sizes = np.asarray(sizes)
-    starts = np.cumsum(sizes) - sizes
-    bi, bj = np.triu_indices(sizes.size, 2)
-    k, last = np.arange(sizes.max()), sizes.sum() - 1
-    rows = np.minimum(starts[bi, None, None] + k[:, None], last)
-    cols = np.minimum(starts[bj, None, None] + k, last)
-    keep = (k[:, None] < sizes[bi, None, None]) & (k < sizes[bj, None, None])
-    return rows, cols, keep
-
-
 def _wilkinson_shift(block) -> complex:
     (a, b), (c, d) = block
     tr = a + d
@@ -186,7 +169,10 @@ def qr_iteration_tracked(
     commutator relation) in O(n^2 (w + b)^2 / w) work, not O(n^3).  Per step
     the report records the rank of every upper block outside the initial
     profile, row-major, at cutoff tol * ||A_0||_F with one stacked SVD of
-    all of them, zero-padded to max_block.  Trailing eigenvalues deflate
+    all of them.  Row and column i of block k sit at slot k max_block + i -
+    start_k of a zero grid, so each block is a max_block square whose padding
+    is never written.  ``profile_growth`` is ||A_k||_F outside the envelope
+    over ||A_k||_F.  Trailing eigenvalues deflate
     while the last active row left of the diagonal is under the same cutoff
     (tol must be positive); the iteration stops early once everything has
     converged.
@@ -207,10 +193,16 @@ def qr_iteration_tracked(
             f"(detected maximum {profile.max_block}); reduce the matrix first"
         )
     cut = tol * fro(A)
-    below = np.tril(~_envelope_mask(profile.block_sizes, n))
+    outside = ~_envelope_mask(profile.block_sizes, n)
+    below = np.tril(outside)
     discarded = fro(A[below])
     A[below] = 0
-    rows, cols, keep = _outside_blocks(profile.block_sizes)
+    sizes = np.asarray(profile.block_sizes)
+    p, b = sizes.size, profile.max_block
+    starts = np.cumsum(sizes) - sizes
+    slot = np.arange(n) + np.repeat(np.arange(p) * b - starts, sizes)
+    grid = np.zeros((p * b, p * b), dtype=A.dtype)
+    bi, bj = np.triu_indices(p, 2)
     eigs: list[complex] = []
     m = n
 
@@ -221,7 +213,9 @@ def qr_iteration_tracked(
             m -= 1
 
     def block_ranks():
-        sv = np.linalg.svd(np.where(keep, A[rows, cols], 0), compute_uv=False)
+        grid[np.ix_(slot, slot)] = A
+        blocks = grid.reshape(p, b, p, b)[bi, :, bj]
+        sv = _checked_svd(blocks, compute_uv=False)
         return tuple(np.count_nonzero(sv > cut, axis=-1).tolist())
 
     records = []
@@ -237,14 +231,14 @@ def qr_iteration_tracked(
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise ContractError(f"QR factorization failed: {exc}") from exc
         A[diag, diag] += shift
-        c_res = fro(commutator(A, C)) / fro(A) ** 2
+        norm_a = fro(A)
         records.append(
             QrStepRecord(
                 step=step,
                 shift=shift,
                 off_profile_block_ranks=block_ranks(),
-                c_residual=float(c_res),
-                profile_growth=float(off_profile_residual(A, profile) / fro(A)),
+                c_residual=fro(commutator(A, C)) / norm_a**2,
+                profile_growth=fro(A[outside]) / norm_a,
             )
         )
         deflate()

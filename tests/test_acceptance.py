@@ -36,9 +36,7 @@ from blocktrid.almostnormal import ConicCoefficients
 from blocktrid.cli import main as cli_main
 from blocktrid.mmio import write_matrix
 
-
-def crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+from helpers import crandn
 
 
 def seeded_companion_32():

@@ -36,9 +36,7 @@ from blocktrid import (
 )
 from blocktrid.errors import SolverFailure
 
-
-def crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+from helpers import crandn
 
 
 def unit(rng, n):

@@ -1,13 +1,20 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 
 from blocktrid.almostnormal import CommutatorCertificate, certify
 from blocktrid import cli
 from blocktrid.cli import main
 from blocktrid.mmio import read_matrix, write_matrix
+
+from helpers import crandn
 
 
 def run(*argv):
@@ -17,10 +24,6 @@ def run(*argv):
 def load_report(path):
     with open(path) as fh:
         return json.load(fh)
-
-
-def crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
 class TestGenerate:
@@ -201,6 +204,35 @@ class TestReduce:
     def test_missing_input_is_io_error(self, tmp_path):
         assert run("reduce", str(tmp_path / "nope"), "--out", str(tmp_path)) == 3
 
+    def test_curve_manifest_without_conic_names_field(self, tmp_path, capsys):
+        gen = tmp_path / "gen"
+        assert run("generate", "--family", "curve", "--n", "16", "--seed", "3",
+                   "--out", str(gen)) == 0
+        manifest = load_report(gen / "manifest.json")
+        del manifest["conic"]
+        (gen / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run("reduce", str(gen), "--out", str(tmp_path / "red")) == 4
+        assert capsys.readouterr().err == "error: manifest is missing the 'conic' field\n"
+
+    @pytest.mark.parametrize("scale", [
+        1.0,
+        # ||A||_F overflows, so the relative residuals are NaN
+        pytest.param(1e160, marks=pytest.mark.filterwarnings(
+            "ignore:overflow encountered:RuntimeWarning")),
+    ])
+    def test_stdout_is_report_without_timing(self, tmp_path, capsys, scale):
+        rng = np.random.default_rng(0)
+        a, start, red = tmp_path / "A.mtx", tmp_path / "Z.mtx", tmp_path / "red"
+        write_matrix(a, scale * crandn(rng, 6, 6))
+        write_matrix(start, np.eye(6)[:, :2])
+        capsys.readouterr()
+        run("reduce", str(a), "--start", str(start), "--out", str(red))
+        report = orjson.loads((red / "report.json").read_bytes())
+        del report["elapsed_ms"]
+        expected = orjson.dumps(report, option=orjson.OPT_SORT_KEYS).decode()
+        assert capsys.readouterr().out == expected + "\n"
+
 
 class TestVerify:
     def test_valid_certificate(self, tmp_path):
@@ -371,6 +403,51 @@ class TestQrTrack:
                    "--tol", "0") == 4
         assert "tol must be positive, got 0.0" in capsys.readouterr().err
 
+    def test_svd_failure_is_numerical_error_exit(self, tmp_path, capsys, monkeypatch):
+        gen, red = tmp_path / "gen", tmp_path / "red"
+        run("generate", "--family", "arrow", "--n", "16", "--seed", "1",
+            "--out", str(gen))
+        assert run("reduce", str(gen), "--out", str(red)) == 0
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        capsys.readouterr()
+        assert run("qr-track", str(red / "A_trid.mtx"), str(red / "C_trid.mtx"),
+                   "--steps", "2") == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: SVD iteration failed to converge for a 21x2x2 matrix stack ")
+
+
+class TestEntryPoints:
+    """The installed launchers, run as separate processes."""
+
+    @pytest.fixture(params=[["-m", "blocktrid"],
+                            ["-c", "from blocktrid.cli import entry; entry()"]],
+                    ids=["module", "entry"])
+    def launch(self, request):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+
+        def call(*argv):
+            return subprocess.run([sys.executable, *request.param, *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+
+        return call
+
+    def test_version(self, launch):
+        proc = launch("--version")
+        assert (proc.returncode, proc.stdout) == (0, "0.1.0\n")
+
+    def test_missing_file_is_io_error(self, launch, tmp_path):
+        proc = launch("spy", str(tmp_path / "nope.mtx"))
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: ")
+
 
 class TestReports:
     @pytest.fixture
@@ -410,6 +487,10 @@ class TestReports:
         path = tmp_path / "r.json"
         cli._write_json(path, {"nan": float("nan"), "inf": -np.inf})
         assert load_report(path) == {"nan": None, "inf": None}
+
+    def test_stdout_non_finite_floats_are_null(self, capsys):
+        cli._print_json({"nan": float("nan"), "inf": -np.inf})
+        assert capsys.readouterr().out == '{"inf":null,"nan":null}\n'
 
     def test_non_ascii_paths_round_trip_as_utf8(self, tmp_path):
         gen, red = tmp_path / "gén", tmp_path / "réduit"

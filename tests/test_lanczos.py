@@ -4,6 +4,7 @@ import pytest
 from blocktrid import (
     ContractError,
     DimensionError,
+    NumericalError,
     arrow_hermitian_plus_rank_one,
     block_lanczos,
     fourier_sum,
@@ -18,9 +19,7 @@ from blocktrid import (
     subspace_inclusion_residual,
 )
 
-
-def crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+from helpers import crandn
 
 
 def random_hermitian(rng, n):
@@ -173,6 +172,22 @@ class TestBlockLanczos:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
             block_lanczos(np.ones((3, 2)), np.ones((3, 1)))
+
+    def test_svd_failure_in_loop_is_numerical_error(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        H, Z = random_hermitian(rng, 12), crandn(rng, 12, 2)
+        svd, calls = np.linalg.svd, []
+
+        def fail_second(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", fail_second)
+        with pytest.raises(NumericalError, match="failed to converge for a 12x2 matrix "):
+            block_lanczos(H, Z)
+        assert len(calls) == 2
 
 
 class TestKrylovBasis:

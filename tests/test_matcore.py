@@ -1,10 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blocktrid
 from blocktrid import (
     DimensionError,
+    NumericalError,
     antihermitian_part,
     commutator,
     fro,
@@ -15,9 +19,7 @@ from blocktrid import (
     svd,
 )
 
-
-def crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+from helpers import crandn
 
 
 def ge_rank(M, tol=1e-10):
@@ -184,6 +186,22 @@ class TestSvd:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             svd(np.eye(2), tol=0.0)
+
+    def test_failed_stack_names_its_shape(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(NumericalError, match="for a 5x4x3 matrix stack with"):
+            blocktrid.matcore._checked_svd(np.ones((5, 4, 3)), compute_uv=False)
+
+    def test_only_matcore_calls_numpy_svd(self):
+        package = Path(blocktrid.__file__).parent
+        callers = sorted(
+            path.name for path in package.glob("*.py")
+            if "np.linalg.svd" in path.read_text(encoding="utf-8")
+        )
+        assert callers == ["matcore.py"]
 
 
 class TestNumericalRank:

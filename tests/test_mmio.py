@@ -21,9 +21,7 @@ from blocktrid.mmio import (
     write_vector,
 )
 
-
-def crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+from helpers import crandn
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (5, 3), (3, 5), (8, 8), (1, 7), (7, 1)])

@@ -27,9 +27,7 @@ from blocktrid import (
 from blocktrid.cli import main
 from blocktrid.mmio import read_matrix
 
-
-def crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+from helpers import crandn
 
 
 def reduced_companion(n=32, seed=12345):
