@@ -52,7 +52,7 @@ from .matcore import commutator, fro, hermitian_part, orthonormal_range
 from .mmio import MatrixMarketError, read_matrix, read_vector, write_matrix, write_vector
 from .structure import off_profile_residual, qr_iteration_tracked
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 _STDOUT_JSON_OPTIONS = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
 _JSON_OPTIONS = _STDOUT_JSON_OPTIONS | orjson.OPT_INDENT_2
 
@@ -410,6 +410,7 @@ def cmd_qr_track(args, argv) -> int:
                 "step": rec.step,
                 "shift": _cplx(rec.shift),
                 "off_profile_block_ranks": list(rec.off_profile_block_ranks),
+                "rank_margin": list(rec.rank_margin),
                 "c_residual": rec.c_residual,
                 "profile_growth": rec.profile_growth,
             }

@@ -62,8 +62,19 @@ def as_square(a, name: str = "matrix") -> np.ndarray:
 
 
 def fro(a) -> float:
-    """Frobenius norm (2-norm for vectors)."""
-    return float(np.linalg.norm(a))
+    """Frobenius norm (2-norm for vectors).
+
+    ``np.linalg.norm`` sums unscaled squares, which over- or underflow once
+    entries pass about 1e+-154; a result outside (1e-150, 1e150) is therefore
+    recomputed as m ||a / m|| with m the largest modulus.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        norm = float(np.linalg.norm(a))
+        if not 1e-150 < norm < 1e150:
+            m = float(np.max(np.abs(a), initial=0.0))
+            if 0.0 < m < np.inf:
+                norm = m * float(np.linalg.norm(np.divide(a, m)))
+    return norm
 
 
 def hermitian_part(A) -> np.ndarray:

@@ -4,8 +4,9 @@
 partition with the smallest achievable maximum block size whose block
 tridiagonal envelope covers every entry above the threshold.  The QR tracker
 runs explicit single-shift steps on a block tridiagonal matrix while carrying
-the commutator perturbation along the same similarity, recording the numerical
-ranks of the upper triangular blocks that lie outside the initial profile.
+the commutator perturbation along the same similarity, recording per block row
+the numerical rank of the maximal submatrix above the initial envelope, which
+contains every upper block outside the initial profile.
 """
 
 from __future__ import annotations
@@ -100,18 +101,20 @@ def off_profile_residual(T, profile) -> float:
     if any(w < 1 for w in sizes):
         raise DimensionError("profile sizes must be positive")
     mask = _envelope_mask(sizes, T.shape[0])
-    return float(np.linalg.norm(T[~mask]))
+    return fro(T[~mask])
 
 
 @dataclass(frozen=True)
 class QrStepRecord:
-    """One shifted QR step: the shift, the ranks of the upper blocks outside
-    the initial profile, the perturbation residual, and the relative mass
+    """One shifted QR step: the shift, the rank of the maximal submatrix above
+    the initial envelope at each block row, how close those rank decisions
+    came to the cutoff, the perturbation residual, and the relative mass
     outside the initial envelope."""
 
     step: int
     shift: complex
     off_profile_block_ranks: tuple[int, ...]
+    rank_margin: tuple[float | None, float | None]
     c_residual: float
     profile_growth: float
 
@@ -166,16 +169,22 @@ def qr_iteration_tracked(
     then keeps lower bandwidth b = 2 max_block - 1, so each step factors
     A_k - shift I in column panels of w = PANEL_WIDTH columns and w + b rows
     and applies the similarity Q^H . Q to A_k and C_k (which keeps the
-    commutator relation) in O(n^2 (w + b)^2 / w) work, not O(n^3).  Per step
-    the report records the rank of every upper block outside the initial
-    profile, row-major, at cutoff tol * ||A_0||_F with one stacked SVD of
-    all of them.  Row and column i of block k sit at slot k max_block + i -
-    start_k of a zero grid, so each block is a max_block square whose padding
-    is never written.  ``profile_growth`` is ||A_k||_F outside the envelope
-    over ||A_k||_F.  Trailing eigenvalues deflate
-    while the last active row left of the diagonal is under the same cutoff
-    (tol must be positive); the iteration stops early once everything has
-    converged.
+    commutator relation) in O(n^2 (w + b)^2 / w) work, not O(n^3).
+
+    Per step the report records, for each block row i < p - 2 of the initial
+    profile (rows end at r_{i+1}, block i + 2 starts at column c_{i+2}), the
+    rank of the maximal submatrix A_k[:r_{i+1}, c_{i+2}:] above the envelope
+    at cutoff tol * ||A_0||_F.  Every upper block outside the profile lies in
+    one of them.  One nested sweep gives all p - 2 ranks: W, the kept row
+    space of the previous submatrix scaled by its singular values, loses the
+    columns of block i + 2 and gains block row i beneath it, and the thin
+    SVD of that stack of at most rank + max_block rows yields the next rank
+    and W.  ``rank_margin`` is the largest singular value the sweep dropped
+    and the smallest it kept, in units of the cutoff (None for an empty
+    side).  ``profile_growth`` is ||A_k||_F outside the envelope over
+    ||A_k||_F.  Trailing eigenvalues deflate while the last active row left
+    of the diagonal is under the same cutoff (tol must be positive); the
+    iteration stops early once everything has converged.
     """
     A = as_square(A0, "A0").copy()
     C = as_matrix(C0, "C0").copy()
@@ -197,26 +206,33 @@ def qr_iteration_tracked(
     below = np.tril(outside)
     discarded = fro(A[below])
     A[below] = 0
-    sizes = np.asarray(profile.block_sizes)
-    p, b = sizes.size, profile.max_block
-    starts = np.cumsum(sizes) - sizes
-    slot = np.arange(n) + np.repeat(np.arange(p) * b - starts, sizes)
-    grid = np.zeros((p * b, p * b), dtype=A.dtype)
-    bi, bj = np.triu_indices(p, 2)
+    bounds = np.cumsum((0,) + profile.block_sizes).tolist()
     eigs: list[complex] = []
     m = n
 
     def deflate():
         nonlocal m
-        while m and np.linalg.norm(A[m - 1, : m - 1]) <= cut:
+        while m and fro(A[m - 1, : m - 1]) <= cut:
             eigs.append(complex(A[m - 1, m - 1]))
             m -= 1
 
-    def block_ranks():
-        grid[np.ix_(slot, slot)] = A
-        blocks = grid.reshape(p, b, p, b)[bi, :, bj]
-        sv = _checked_svd(blocks, compute_uv=False)
-        return tuple(np.count_nonzero(sv > cut, axis=-1).tolist())
+    def maximal_ranks():
+        ranks, dropped, kept = [], [], []
+        W = A[:0, bounds[1] :]
+        for r0, r1, c2 in zip(bounds, bounds[1:], bounds[2:-1]):
+            _, s, Vh = _checked_svd(
+                np.concatenate((W[:, c2 - r1 :], A[r0:r1, c2:])), full_matrices=False
+            )
+            sv = s.tolist()
+            k = sum(x > cut for x in sv)
+            ranks.append(k)
+            dropped += sv[k : k + 1]
+            kept += sv[k - 1 : k]
+            W = s[:k, None] * Vh[:k]
+        return tuple(ranks), (
+            max(dropped) / cut if dropped else None,
+            min(kept) / cut if kept else None,
+        )
 
     records = []
     deflate()
@@ -232,11 +248,13 @@ def qr_iteration_tracked(
             raise ContractError(f"QR factorization failed: {exc}") from exc
         A[diag, diag] += shift
         norm_a = fro(A)
+        ranks, margin = maximal_ranks()
         records.append(
             QrStepRecord(
                 step=step,
                 shift=shift,
-                off_profile_block_ranks=block_ranks(),
+                off_profile_block_ranks=ranks,
+                rank_margin=margin,
                 c_residual=fro(commutator(A, C)) / norm_a**2,
                 profile_growth=fro(A[outside]) / norm_a,
             )

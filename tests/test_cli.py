@@ -14,7 +14,7 @@ from blocktrid import cli
 from blocktrid.cli import main
 from blocktrid.mmio import read_matrix, write_matrix
 
-from helpers import crandn
+from helpers import crandn, planted_tridiagonal
 
 
 def run(*argv):
@@ -32,7 +32,7 @@ class TestGenerate:
         assert run("generate", "--family", "companion",
                    "--coeffs", "1,0,0,0,1", "--out", str(out)) == 0
         manifest = load_report(out / "manifest.json")
-        assert manifest["schema_version"] == "1"
+        assert manifest["schema_version"] == "2"
         assert (out / manifest["files"]["matrix"]).exists()
         assert (out / manifest["files"]["perturbation"]).exists()
         assert manifest["certificate"]["residual"] <= 1e-10
@@ -215,12 +215,8 @@ class TestReduce:
         assert run("reduce", str(gen), "--out", str(tmp_path / "red")) == 4
         assert capsys.readouterr().err == "error: manifest is missing the 'conic' field\n"
 
-    @pytest.mark.parametrize("scale", [
-        1.0,
-        # ||A||_F overflows, so the relative residuals are NaN
-        pytest.param(1e160, marks=pytest.mark.filterwarnings(
-            "ignore:overflow encountered:RuntimeWarning")),
-    ])
+    # squares of entries at 1e+-160 over- and underflow; the norms rescale
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e-160])
     def test_stdout_is_report_without_timing(self, tmp_path, capsys, scale):
         rng = np.random.default_rng(0)
         a, start, red = tmp_path / "A.mtx", tmp_path / "Z.mtx", tmp_path / "red"
@@ -229,6 +225,8 @@ class TestReduce:
         capsys.readouterr()
         run("reduce", str(a), "--start", str(start), "--out", str(red))
         report = orjson.loads((red / "report.json").read_bytes())
+        for key in ("similarity", "off_profile", "unitarity"):
+            assert np.isfinite(report["residuals"][key])
         del report["elapsed_ms"]
         expected = orjson.dumps(report, option=orjson.OPT_SORT_KEYS).decode()
         assert capsys.readouterr().out == expected + "\n"
@@ -370,6 +368,9 @@ class TestQrTrack:
         for rec in payload["iterations"]:
             assert all(r <= 2 for r in rec["off_profile_block_ranks"])
             assert rec["c_residual"] <= 1e-8
+            dropped, kept = rec["rank_margin"]
+            assert dropped is None or dropped <= 1.0
+            assert kept is None or kept > 1.0
 
     def test_circle_instance_keeps_rank_bound(self, tmp_path):
         gen, red = tmp_path / "gen", tmp_path / "red"
@@ -384,6 +385,21 @@ class TestQrTrack:
         assert 0.0 < payload["discarded_norm"] <= 1e-10
         assert all(max(rec["off_profile_block_ranks"]) <= 2
                    for rec in payload["iterations"])
+
+    def test_rank_above_two_that_no_block_shows_exits_2(self, tmp_path):
+        """A complex tridiagonal matrix with C = A^H - A keeps the relation
+        exactly, and its outside blocks are 1 x 1, yet under QR its upper
+        part reaches rank 3 and more."""
+        A = planted_tridiagonal(16)
+        a, c, out = tmp_path / "A.mtx", tmp_path / "C.mtx", tmp_path / "track.json"
+        write_matrix(a, A)
+        write_matrix(c, A.conj().T - A)
+        assert run("qr-track", str(a), str(c), "--steps", "10", "--out", str(out)) == 2
+        payload = load_report(out)
+        assert payload["initial_block_sizes"] == [1] * 16
+        assert not payload["within_rank_bound"]
+        assert max(payload["iterations"][-1]["off_profile_block_ranks"]) >= 3
+        assert all(rec["c_residual"] <= 1e-10 for rec in payload["iterations"])
 
     def test_dense_input_names_reduce(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
@@ -419,7 +435,7 @@ class TestQrTrack:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(
-            "error: SVD iteration failed to converge for a 21x2x2 matrix stack ")
+            "error: SVD iteration failed to converge for a 2x12 matrix ")
 
 
 class TestEntryPoints:

@@ -51,6 +51,21 @@ def gram_schmidt(cols):
     return np.column_stack(basis) if basis else np.zeros((len(cols[0]), 0))
 
 
+class TestFro:
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
+    def test_extreme_scales_rescale(self, scale):
+        A = crandn(np.random.default_rng(3), 6, 6)
+        assert fro(scale * A) == pytest.approx(scale * fro(A), rel=1e-14)
+
+    def test_desk_scale_is_numpy_norm(self):
+        A = crandn(np.random.default_rng(4), 7, 5)
+        assert fro(A) == float(np.linalg.norm(A))
+
+    def test_zero_and_empty(self):
+        assert fro(np.zeros((3, 3))) == 0.0
+        assert fro(np.zeros((0, 4))) == 0.0
+
+
 class TestParts:
     def test_hermitian_fixed_point(self):
         A = np.array([[2.0, 1 + 1j], [1 - 1j, -3.0]])

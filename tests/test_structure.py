@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blocktrid import (
     ContractError,
@@ -27,7 +29,7 @@ from blocktrid import (
 from blocktrid.cli import main
 from blocktrid.mmio import read_matrix
 
-from helpers import crandn
+from helpers import crandn, planted_tridiagonal
 
 
 def reduced_companion(n=32, seed=12345):
@@ -77,6 +79,37 @@ def hermitian_tridiagonal(n, seed):
     e = crandn(rng, n - 1)
     T = np.diag(rng.standard_normal(n)) + np.diag(e, -1) + np.diag(e.conj(), 1)
     return T, T @ T
+
+
+def maximal_ranks(A, sizes, cut):
+    """Ranks at ``cut`` of A[:r_{i+1}, c_{i+2}:], block row by block row, from
+    one direct SVD each."""
+    b = np.cumsum((0,) + tuple(sizes))
+    return tuple(
+        int(np.count_nonzero(np.linalg.svd(A[: b[i + 1], b[i + 2] :], compute_uv=False) > cut))
+        for i in range(len(sizes) - 2)
+    )
+
+
+def tracked_against_direct_ranks(A, C, monkeypatch):
+    """30 tracked steps; at steps 1, 10 and 30 the sweep's ranks must be those
+    of direct SVDs of the maximal submatrices of that step's iterate, which
+    is seen where the tracker takes its commutator residual."""
+    iterates = []
+    residual = structure.commutator
+
+    def record(A, C):
+        iterates.append(A.copy())
+        return residual(A, C)
+
+    monkeypatch.setattr(structure, "commutator", record)
+    rep = qr_iteration_tracked(A, C, 30)
+    assert len(rep.iterations) == len(iterates) == 30
+    for step in (1, 10, 30):
+        assert rep.iterations[step - 1].off_profile_block_ranks == maximal_ranks(
+            iterates[step - 1], rep.initial_profile.block_sizes, 1e-10 * fro(A)
+        )
+    return rep
 
 
 def dense_qr_step(A, C, m, band):
@@ -320,24 +353,33 @@ class TestQrIterationTracked:
         "n, seed",
         [(128, 0), (128, 1), (128, 2), (128, 3), (256, 0), (256, 1), (256, 2)],
     )
-    def test_unitary_rank_bound_at_scale(self, n, seed):
+    def test_unitary_rank_bound_at_scale(self, n, seed, monkeypatch):
         A_trid, C_trid = reduced_unitary(n, seed)
-        rep = qr_iteration_tracked(A_trid, C_trid, 30)
-        assert len(rep.iterations) == 30
+        rep = tracked_against_direct_ranks(A_trid, C_trid, monkeypatch)
         for rec in rep.iterations:
             assert max(rec.off_profile_block_ranks) <= 2
             assert rec.c_residual <= 1e-10
         assert 0.0 < rep.discarded_norm <= 1e-10 * fro(A_trid)
 
     @pytest.mark.parametrize("n, seed", [(128, 0), (128, 1), (256, 0)])
-    def test_companion_rank_bound_at_scale(self, n, seed):
+    def test_companion_rank_bound_at_scale(self, n, seed, monkeypatch):
         A_trid, C_trid = reduced_random_companion(n, seed)
-        rep = qr_iteration_tracked(A_trid, C_trid, 30)
-        assert len(rep.iterations) == 30
+        rep = tracked_against_direct_ranks(A_trid, C_trid, monkeypatch)
         for rec in rep.iterations:
             assert max(rec.off_profile_block_ranks) <= 2
             assert rec.c_residual <= 1e-10
         assert 0.0 < rep.discarded_norm <= 1e-10 * fro(A_trid)
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_circle_rank_bound_at_scale(self, n, tmp_path, monkeypatch):
+        A_trid, C_trid = reduced_by_cli(
+            tmp_path, "--family", "curve", "--curve", "circle", "--n", str(n),
+            "--seed", "0",
+        )
+        rep = tracked_against_direct_ranks(A_trid, C_trid, monkeypatch)
+        for rec in rep.iterations:
+            assert max(rec.off_profile_block_ranks) <= 2
+            assert rec.c_residual <= 1e-10
 
     def test_banded_step_matches_dense_step(self, banded_instance, monkeypatch):
         A, C = banded_instance
@@ -378,7 +420,7 @@ class TestQrIterationTracked:
         assert rep.final_matrix[5, 1] == 0
         assert rep.final_matrix[1, 5] == 4e-14
 
-    def test_stacked_ranks_match_per_block_svds(self):
+    def test_sweep_ranks_match_maximal_submatrix_svds(self):
         rng = np.random.default_rng(0)
         sizes = (1, 2, 3, 4, 2, 1, 4, 3, 1, 3, 2, 4, 1, 1, 2)
         idx = np.repeat(np.arange(len(sizes)), sizes)
@@ -386,25 +428,50 @@ class TestQrIterationTracked:
         rep = qr_iteration_tracked(T, np.zeros_like(T), 30, tol=1e-10)
         assert rep.initial_profile.block_sizes == sizes
         assert rep.converged_eigenvalues
-        starts = np.cumsum(sizes) - sizes
-        expected = tuple(
-            int(
-                np.count_nonzero(
-                    np.linalg.svd(
-                        rep.final_matrix[r0 : r0 + sizes[i], c0 : c0 + sizes[j]],
-                        compute_uv=False,
-                    )
-                    > 1e-10 * fro(T)
-                )
-            )
-            for i, r0 in enumerate(starts)
-            for j, c0 in enumerate(starts)
-            if j >= i + 2
-        )
         ranks = rep.iterations[-1].off_profile_block_ranks
-        assert ranks == expected
+        assert ranks == maximal_ranks(rep.final_matrix, sizes, 1e-10 * fro(T))
         assert all(type(r) is int for r in ranks)
-        assert set(ranks) == {1, 2, 3, 4}
+        assert len(ranks) == len(sizes) - 2
+        assert max(ranks) > max(sizes)
+
+    def test_planted_rank_no_block_shows(self):
+        """A complex tridiagonal matrix has only 1 x 1 blocks outside its
+        profile, so no block can exceed rank 1; under QR its upper part
+        fills in, and the maximal submatrices show rank 3 and more."""
+        A = planted_tridiagonal(16)
+        rep = qr_iteration_tracked(A, A.conj().T - A, 10)
+        assert rep.initial_profile.block_sizes == (1,) * 16
+        ranks = rep.iterations[-1].off_profile_block_ranks
+        assert max(ranks) >= 3
+        assert ranks == maximal_ranks(rep.final_matrix, (1,) * 16, 1e-10 * fro(A))
+        assert all(rec.c_residual <= 1e-10 for rec in rep.iterations)
+
+    @given(
+        sizes=st.lists(st.integers(1, 4), min_size=1, max_size=16).filter(
+            lambda sizes: sum(sizes) <= 40
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(1, 4),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_sweep_ranks_property(self, sizes, seed, steps):
+        rng = np.random.default_rng(seed)
+        idx = np.repeat(np.arange(len(sizes)), sizes)
+        T = crandn(rng, idx.size, idx.size) * (np.abs(idx[:, None] - idx[None, :]) <= 1)
+        rep = qr_iteration_tracked(T, np.zeros_like(T), steps)
+        if rep.iterations:
+            assert rep.iterations[-1].off_profile_block_ranks == maximal_ranks(
+                rep.final_matrix, rep.initial_profile.block_sizes, 1e-10 * fro(T)
+            )
+
+    def test_rank_margin_brackets_the_cutoff(self):
+        A_trid, C_trid = reduced_unitary(64, 1)
+        rep = qr_iteration_tracked(A_trid, C_trid, 30)
+        for rec in rep.iterations:
+            dropped, kept = rec.rank_margin
+            assert dropped is None or dropped <= 1.0
+            assert kept is not None and kept > 1.0
+        assert any(rec.rank_margin[0] is not None for rec in rep.iterations)
 
     def test_dense_input_rejected(self):
         rng = np.random.default_rng(2)
@@ -472,20 +539,25 @@ def scaled_decisions(family, seed, scale):
     A_trid, C_trid = U.conj().T @ A @ U, U.conj().T @ C @ U
     cert = certify(A, C, 2)
     rep = qr_iteration_tracked(A_trid, C_trid, 10)
-    return (
+    decisions = (
         red.block_sizes,
         block_profile(A_trid).block_sizes,
         (cert.valid, cert.range_dim, cert.perturbation_rank),
         [rec.off_profile_block_ranks for rec in rep.iterations],
         len(rep.converged_eigenvalues),
     )
+    return decisions, np.array([rec.rank_margin for rec in rep.iterations], dtype=float)
 
 
 @pytest.mark.parametrize("family", ["arrow", "unitary", "circle"])
 def test_decisions_are_scale_invariant(family):
     """Scaling A and C together by 1e8 or 1e-8 changes no block size, no
-    certificate verdict and no per-step QR rank or converged count."""
+    certificate verdict and no per-step QR rank or converged count, and
+    moves no rank margin by more than 1e-2 of the cutoff (singular values
+    agreeing to 1e-12 ||A||_F)."""
     for seed in range(10):
-        reference = scaled_decisions(family, seed, 1.0)
-        assert scaled_decisions(family, seed, 1e8) == reference
-        assert scaled_decisions(family, seed, 1e-8) == reference
+        reference, margins = scaled_decisions(family, seed, 1.0)
+        for scale in (1e8, 1e-8):
+            decisions, scaled_margins = scaled_decisions(family, seed, scale)
+            assert decisions == reference
+            np.testing.assert_allclose(scaled_margins, margins, rtol=1e-8, atol=1e-2)
