@@ -72,14 +72,6 @@ _CLI_FAMILIES = (
 )
 
 
-def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _cplx(z) -> list[float]:
     z = complex(z)
     return [z.real, z.imag]
@@ -144,6 +136,11 @@ def _parse_coeffs(text: str) -> list[complex]:
 
 
 def cmd_generate(args, argv) -> int:
+    if args.family == "fourier-sum":
+        H, Z = fourier_sum(args.n, args.seed)
+        inst, params = None, {}
+    else:
+        inst, params = _build_instance(args)
     out = args.out
     os.makedirs(out, exist_ok=True)
     files: dict[str, str] = {}
@@ -152,7 +149,7 @@ def cmd_generate(args, argv) -> int:
         "family": args.family,
         "seed": args.seed,
         "tool_version": __version__,
-        "params": {},
+        "params": params,
     }
 
     def save(role, name, data, vector=False):
@@ -163,13 +160,11 @@ def cmd_generate(args, argv) -> int:
             write_matrix(path, data)
         files[role] = name
 
-    if args.family == "fourier-sum":
-        H, Z = fourier_sum(args.n, args.seed)
+    if inst is None:
         save("matrix", "H.mtx", H)
         save("start", "Z.mtx", Z)
         manifest["n"] = args.n
     else:
-        inst = _build_instance(args)
         save("matrix", "A.mtx", inst.matrix)
         for role in ("x", "y", "u", "v"):
             if role in inst.perturbation_data:
@@ -181,13 +176,6 @@ def cmd_generate(args, argv) -> int:
         manifest["instance_family"] = inst.family
         if inst.conic is not None:
             manifest["conic"] = _conic_to_json(inst.conic)
-    if args.family in ("companion", "colleague"):
-        manifest["params"]["coeffs"] = [_cplx(z) for z in _parse_coeffs(args.coeffs)]
-    if args.family == "curve":
-        manifest["params"]["curve"] = args.curve
-    if args.family == "solved":
-        manifest["params"]["c_kind"] = args.c_kind
-        manifest["params"]["alpha"] = _cplx(complex(args.alpha))
     manifest["files"] = files
     _write_json(os.path.join(out, "manifest.json"), manifest)
     _print_json({"out": out, "files": files})
@@ -195,57 +183,59 @@ def cmd_generate(args, argv) -> int:
 
 
 def _build_instance(args):
+    """The instance of every family but fourier-sum, and the manifest
+    ``params`` of its arguments, all parsed before any file is written."""
     fam = args.family
-    if fam == "arrow":
-        return arrow_hermitian_plus_rank_one(args.n, args.seed)
-    if fam == "companion":
+    if fam in ("companion", "colleague"):
         if not args.coeffs:
-            raise ContractError("--coeffs is required for the companion family")
-        return companion(_parse_coeffs(args.coeffs))
-    if fam == "colleague":
-        if not args.coeffs:
-            raise ContractError("--coeffs is required for the colleague family")
-        return chebyshev_colleague(_parse_coeffs(args.coeffs))
+            raise ContractError(f"--coeffs is required for the {fam} family")
+        coeffs = _parse_coeffs(args.coeffs)
+        build = companion if fam == "companion" else chebyshev_colleague
+        return build(coeffs), {"coeffs": [_cplx(z) for z in coeffs]}
     if fam == "curve":
-        curve = args.curve.replace("-", "_")
-        return curve_normal_plus_rank_one(args.n, curve, args.seed)
-    if fam == "unitary":
-        return random_unitary_plus_rank_one(args.n, args.seed)
+        inst = curve_normal_plus_rank_one(args.n, args.curve.replace("-", "_"), args.seed)
+        return inst, {"curve": args.curve}
     if fam == "solved":
         n = args.n
         if n < 2:
             raise ValueError(f"solved instances need n >= 2, got {n}")
+        alpha = complex(args.alpha)
         C = np.zeros((n, n), dtype=np.complex128)
         if args.c_kind == "independent":
             C[0, 1] = 1.0
         else:
-            C[0, 0] = complex(args.alpha)
-        return solve_commutator_equation(C, seed=args.seed)
-    raise ContractError(f"unknown family {fam!r}")
+            C[0, 0] = alpha
+        inst = solve_commutator_equation(C, seed=args.seed)
+        return inst, {"c_kind": args.c_kind, "alpha": _cplx(alpha)}
+    if fam == "arrow":
+        return arrow_hermitian_plus_rank_one(args.n, args.seed), {}
+    return random_unitary_plus_rank_one(args.n, args.seed), {}
 
 
-def _starting_block(manifest, in_dir, A, inputs):
+def _read(path, inputs, vector=False):
+    """The matrix (or vector) in the file ``path``; records the file's SHA-256
+    in ``inputs[path]``."""
+    data = read_vector(path) if vector else read_matrix(path)
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(65536), b""):
+            h.update(chunk)
+    inputs[path] = h.hexdigest()
+    return data
+
+
+def _starting_block(manifest, A, read):
     """Starting block and reduction phase for the manifest's family.
 
     Returns ``(Z, phase)``: the block Lanczos run reduces the Hermitian part
     of ``phase * A``, whose basis block-tridiagonalizes A itself.  The phase
     differs from 1 for curve instances violating the leading-form condition
-    and for dependent rank-one perturbations.  Every file read is recorded
-    in ``inputs`` with its SHA-256.
+    and for dependent rank-one perturbations.  ``read(role, vector)`` reads
+    the manifest's file for ``role``.
     """
     fam = manifest["family"]
-    files = manifest["files"]
-
-    def path(role):
-        p = os.path.join(in_dir, files[role])
-        inputs[p] = _sha256(p)
-        return p
-
-    def vec(role):
-        return read_vector(path(role))
-
     if fam in ("arrow", "colleague"):
-        return np.column_stack([vec("x"), vec("y")]), 1.0 + 0j
+        return np.column_stack([read("x", True), read("y", True)]), 1.0 + 0j
     if fam in ("companion", "unitary"):
         basis, dim = orthonormal_range(commutator(A))
         if dim == 0:
@@ -253,7 +243,7 @@ def _starting_block(manifest, in_dir, A, inputs):
         return basis[:, : min(dim, 4)], 1.0 + 0j
     if fam == "curve":
         conic = _conic_from_json(manifest["conic"])
-        u, v = vec("u"), vec("v")
+        u, v = read("u", True), read("v", True)
         try:
             rotated = rotate_leading_form(conic)
         except LinearVarietyError:
@@ -262,9 +252,9 @@ def _starting_block(manifest, in_dir, A, inputs):
         phase = np.exp(1j * rotated.theta)
         return starting_block_curve(phase * A, phase * u, v, rotated), phase
     if fam == "fourier-sum":
-        return read_matrix(path("start")), 1.0 + 0j
+        return read("start"), 1.0 + 0j
     if fam == "solved":
-        u, v = vec("u"), vec("v")
+        u, v = read("u", True), read("v", True)
         Z = starting_block_rank_one(A, u, v)
         if Z.shape[1] == 1:
             w = antihermitian_rescaling(u, v)
@@ -275,32 +265,31 @@ def _starting_block(manifest, in_dir, A, inputs):
 
 def cmd_reduce(args, argv) -> int:
     t0 = time.perf_counter()
-    in_path = args.input
-    if os.path.isdir(in_path):
-        manifest_path = os.path.join(in_path, "manifest.json")
+    inputs: dict[str, str] = {}
+    manifest = None
+
+    def read(role, vector=False):
+        return _read(os.path.join(args.input, manifest["files"][role]), inputs, vector)
+
+    if os.path.isdir(args.input):
+        manifest_path = os.path.join(args.input, "manifest.json")
         with open(manifest_path, "rb") as fh:
-            manifest = orjson.loads(fh.read())
-        in_dir = in_path
-        matrix_path = os.path.join(in_dir, manifest["files"]["matrix"])
+            text = fh.read()
+        manifest = orjson.loads(text)
+        inputs[manifest_path] = hashlib.sha256(text).hexdigest()
+        A = read("matrix")
     else:
-        manifest = None
-        in_dir = os.path.dirname(in_path) or "."
-        matrix_path = in_path
-    A = read_matrix(matrix_path)
-    inputs = {matrix_path: _sha256(matrix_path)}
-    if manifest is not None:
-        inputs[manifest_path] = _sha256(manifest_path)
+        A = _read(args.input, inputs)
     phase = 1.0 + 0j
     if args.start != "auto":
-        Z = read_matrix(args.start)
-        inputs[args.start] = _sha256(args.start)
+        Z = _read(args.start, inputs)
+    elif manifest is None:
+        raise ContractError(
+            "automatic starting blocks need a manifest directory; "
+            "pass --start with an explicit block file instead"
+        )
     else:
-        if manifest is None:
-            raise ContractError(
-                "automatic starting blocks need a manifest directory; "
-                "pass --start with an explicit block file instead"
-            )
-        Z, phase = _starting_block(manifest, in_dir, A, inputs)
+        Z, phase = _starting_block(manifest, A, read)
     red = block_lanczos(hermitian_part(phase * A), Z, tol=args.tol)
     U, T = red.basis, red.trid
     n = A.shape[0]
@@ -320,10 +309,8 @@ def cmd_reduce(args, argv) -> int:
     write_matrix(os.path.join(args.out, "T.mtx"), T)
     write_matrix(os.path.join(args.out, "A_trid.mtx"), A_trid)
     files = {"basis": "U.mtx", "trid": "T.mtx", "matrix_trid": "A_trid.mtx"}
-    if manifest is not None and "perturbation" in manifest.get("files", {}):
-        c_path = os.path.join(in_dir, manifest["files"]["perturbation"])
-        C = read_matrix(c_path)
-        inputs[c_path] = _sha256(c_path)
+    if manifest is not None and "perturbation" in manifest["files"]:
+        C = read("perturbation")
         C_trid = U.conj().T @ C @ U
         write_matrix(os.path.join(args.out, "C_trid.mtx"), C_trid)
         files["perturbation_trid"] = "C_trid.mtx"
@@ -384,8 +371,9 @@ def cmd_spy(args, argv) -> int:
 
 
 def cmd_qr_track(args, argv) -> int:
-    A = read_matrix(args.matrix)
-    C = read_matrix(args.perturbation)
+    inputs: dict[str, str] = {}
+    A = _read(args.matrix, inputs)
+    C = _read(args.perturbation, inputs)
     try:
         report = qr_iteration_tracked(A, C, args.steps, tol=args.tol)
     except ContractError as exc:
@@ -399,10 +387,7 @@ def cmd_qr_track(args, argv) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": " ".join(argv),
         "tool_version": __version__,
-        "inputs": {
-            args.matrix: _sha256(args.matrix),
-            args.perturbation: _sha256(args.perturbation),
-        },
+        "inputs": inputs,
         "initial_block_sizes": list(report.initial_profile.block_sizes),
         "discarded_norm": report.discarded_norm,
         "iterations": [

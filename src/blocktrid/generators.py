@@ -41,6 +41,9 @@ _FAMILY_CODES = {name: i + 1 for i, name in enumerate(FAMILIES)}
 
 CURVES = ("circle", "line", "parabola_arc")
 
+#: Damped Gauss-Newton steps per attempt of :func:`solve_commutator_equation`.
+GAUSS_NEWTON_ITERS = 50
+
 
 @dataclass(frozen=True)
 class GeneratedInstance:
@@ -290,7 +293,7 @@ def _real_residual(X, C):
     return np.concatenate([g.real, g.imag])
 
 
-def _gauss_newton(X, C, max_iters: int):
+def _gauss_newton(X, C):
     """Damped Gauss-Newton on the real parametrization of the commutator
     equation.  Returns (X, converged).
 
@@ -306,7 +309,7 @@ def _gauss_newton(X, C, max_iters: int):
     def done(M):
         return fro(commutator(M, C)) <= 1e-10 * max(1.0, fro(M) ** 2)
 
-    for _ in range(max_iters):
+    for _ in range(GAUSS_NEWTON_ITERS):
         if fro(commutator(X, C)) <= 1e-13 * max(1.0, fro(X) ** 2):
             return X, True
         J1 = (
@@ -346,9 +349,7 @@ def _block_tridiagonal_init(rng, n: int) -> np.ndarray:
     return X
 
 
-def solve_commutator_equation(
-    C, seed: int = 0, max_iters: int = 50
-) -> GeneratedInstance:
+def solve_commutator_equation(C, seed: int = 0) -> GeneratedInstance:
     """Numerically solve X^H X - X X^H = C X - X C for a rank-one C.
 
     Uses damped Gauss-Newton over the real parametrization, started from
@@ -388,7 +389,7 @@ def solve_commutator_equation(
     for attempt in range(8):
         rng = _rng("solved_commutator", seed, (attempt,))
         X0 = _block_tridiagonal_init(rng, n)
-        X, ok = _gauss_newton(X0, C, max_iters)
+        X, ok = _gauss_newton(X0, C)
         if ok:
             return GeneratedInstance(
                 matrix=X,

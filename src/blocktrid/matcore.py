@@ -120,15 +120,14 @@ class SvdResult:
 
 
 def _checked_svd(M, **kwargs):
-    """``np.linalg.svd(M, **kwargs)`` for a validated M or a stack of them, the
-    package's one SVD; a LAPACK non-convergence raises ``NumericalError``."""
+    """``np.linalg.svd(M, **kwargs)`` for a validated matrix M, the package's
+    one SVD; a LAPACK non-convergence raises ``NumericalError``."""
     try:
         return np.linalg.svd(M, **kwargs)
     except np.linalg.LinAlgError as exc:
-        kind = "matrix" if M.ndim == 2 else "matrix stack"
         raise NumericalError(
             f"SVD iteration failed to converge for a {'x'.join(map(str, M.shape))} "
-            f"{kind} with Frobenius norm {fro(M):.3e}"
+            f"matrix with Frobenius norm {fro(M):.3e}"
         ) from exc
 
 

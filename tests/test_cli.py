@@ -75,6 +75,15 @@ class TestGenerate:
         assert err == f"error: solved instances need n >= 2, got {n}\n"
         assert not (out / "A.mtx").exists()
 
+    def test_bad_alpha_writes_no_file(self, tmp_path, capsys):
+        # the default --c-kind independent never uses --alpha, but it is
+        # checked with every other argument before the first file is written
+        out = tmp_path / "gen"
+        assert run("generate", "--family", "solved", "--n", "4", "--alpha", "bogus",
+                   "--out", str(out)) == 4
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(tmp_path.rglob("*.mtx"))
+
 
 class TestReduce:
     def test_arrow_pipeline(self, tmp_path):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import blocktrid
 from blocktrid import (
     DimensionError,
-    NumericalError,
     antihermitian_part,
     commutator,
     fro,
@@ -201,14 +200,6 @@ class TestSvd:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             svd(np.eye(2), tol=0.0)
-
-    def test_failed_stack_names_its_shape(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
-
-        monkeypatch.setattr(np.linalg, "svd", fail)
-        with pytest.raises(NumericalError, match="for a 5x4x3 matrix stack with"):
-            blocktrid.matcore._checked_svd(np.ones((5, 4, 3)), compute_uv=False)
 
     def test_only_matcore_calls_numpy_svd(self):
         package = Path(blocktrid.__file__).parent
