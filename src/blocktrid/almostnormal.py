@@ -26,6 +26,9 @@ from .errors import (
 from .matcore import (
     DEFAULT_TOL,
     _checked_svd,
+    _commutator,
+    _commutator_operands,
+    _count_above,
     antihermitian_part,
     as_matrix,
     as_square,
@@ -33,7 +36,6 @@ from .matcore import (
     commutator,
     fro,
     hermitian_part,
-    numerical_rank,
     orthonormal_range,
     svd,
 )
@@ -75,26 +77,31 @@ def certify(A, C, k: int, tol: float = DEFAULT_TOL) -> CommutatorCertificate:
     """Measure how well C solves the commutator equation for A.
 
     The certificate is valid when the relative residual is at most ``tol``
-    and the numerical rank of C does not exceed ``k``.  ``range_dim`` comes
-    from the eigenvalue moduli of the Hermitian Delta(A) alone; no singular
-    vectors are computed until ``range_basis`` is read.  A claimed rank
-    ``k`` that is not a non-negative integer raises ``ValueError``.
+    and the numerical rank of C does not exceed ``k``.  ``range_dim`` counts
+    the eigenvalue moduli of the Hermitian Delta(A) above
+    ``tol * ||A||_F^2``, and the rank of C its singular values above
+    ``tol * sigma_max(C)``.  Both are low by construction (at most 2k and
+    k), so each count is taken from a rank-8 Gaussian sketch when its
+    a-posteriori error bound proves the count, and from the full spectrum
+    when it does not (a value near the cut, or more than 8 above it); the
+    counts are the full spectrum's either way.  No singular vectors are
+    computed until ``range_basis`` is read.  A claimed rank ``k`` that is
+    not a non-negative integer raises ``ValueError``.
     """
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
         raise ValueError(f"claimed rank k must be a non-negative integer, got {k!r}")
-    residual = commutator_residual(A, C)
-    A = as_matrix(A, "A")
-    C = as_matrix(C, "C")
-    delta = commutator(A)
-    moduli = _checked_svd(delta, compute_uv=False, hermitian=True)
-    dim = int(np.count_nonzero(moduli > tol * fro(A) ** 2))
-    rank_c = numerical_rank(C, tol)
+    A, C = _commutator_operands(A, C)
+    scale = fro(A) ** 2
+    residual = _scaled_defect(A, C, scale)
+    delta = _commutator(A)
+    dim = _count_above(delta, tol, scale, hermitian=True)
+    rank_c = _count_above(C, tol)
     return CommutatorCertificate(
         perturbation=C,
         claimed_rank=int(k),
         residual=float(residual),
         range_dim=dim,
-        perturbation_rank=int(rank_c),
+        perturbation_rank=rank_c,
         valid=bool(residual <= tol and rank_c <= k),
         _delta=delta,
     )
@@ -106,12 +113,14 @@ def commutator_residual(A, C) -> float:
     Returns ``||commutator(A, C)||_F / ||A||_F^2``, which is unchanged when A
     and C are scaled together, and 0 for A = 0.
     """
-    A = as_matrix(A, "A")
-    defect = commutator(A, C)
-    scale = fro(A) ** 2
-    if scale == 0.0:
-        return 0.0
-    return fro(defect) / scale
+    A, C = _commutator_operands(A, C)
+    return _scaled_defect(A, C, fro(A) ** 2)
+
+
+def _scaled_defect(A, C, scale: float) -> float:
+    """``||commutator(A, C)||_F / scale`` for validated operands; 0 when the
+    scale is 0."""
+    return fro(_commutator(A, C)) / scale if scale else 0.0
 
 
 def perturbation_hermitian_rank_one(x, y) -> np.ndarray:

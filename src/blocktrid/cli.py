@@ -110,16 +110,22 @@ def _cert_to_json(cert) -> dict | None:
     }
 
 
-def _write_json(path, payload) -> None:
-    """Write ``payload`` as indented UTF-8 JSON with sorted keys.
+def _encode_json(payload) -> bytes:
+    """``payload`` as indented UTF-8 JSON with sorted keys and a final newline.
 
     orjson writes a non-finite float as ``null``; it raises
     ``orjson.JSONEncodeError`` for an integer outside 64 bits or a string
-    that is not valid UTF-8, before the file is opened.
+    that is not valid UTF-8.
     """
-    text = orjson.dumps(payload, option=_JSON_OPTIONS)
+    return orjson.dumps(payload, option=_JSON_OPTIONS) + b"\n"
+
+
+def _write_json(path, payload) -> None:
+    """Write ``payload`` as :func:`_encode_json` encodes it; an unencodable
+    payload raises before the file is opened."""
+    text = _encode_json(payload)
     with open(path, "wb") as fh:
-        fh.write(text + b"\n")
+        fh.write(text)
 
 
 def _print_json(payload) -> None:
@@ -142,8 +148,8 @@ def cmd_generate(args, argv) -> int:
     else:
         inst, params = _build_instance(args)
     out = args.out
-    os.makedirs(out, exist_ok=True)
     files: dict[str, str] = {}
+    writes = []
     manifest: dict = {
         "schema_version": SCHEMA_VERSION,
         "family": args.family,
@@ -153,11 +159,7 @@ def cmd_generate(args, argv) -> int:
     }
 
     def save(role, name, data, vector=False):
-        path = os.path.join(out, name)
-        if vector:
-            write_vector(path, data)
-        else:
-            write_matrix(path, data)
+        writes.append((os.path.join(out, name), data, vector))
         files[role] = name
 
     if inst is None:
@@ -177,6 +179,11 @@ def cmd_generate(args, argv) -> int:
         if inst.conic is not None:
             manifest["conic"] = _conic_to_json(inst.conic)
     manifest["files"] = files
+    # a manifest orjson cannot encode raises here, before any file is written
+    _encode_json(manifest)
+    os.makedirs(out, exist_ok=True)
+    for path, data, vector in writes:
+        (write_vector if vector else write_matrix)(path, data)
     _write_json(os.path.join(out, "manifest.json"), manifest)
     _print_json({"out": out, "files": files})
     return EXIT_OK
@@ -213,14 +220,11 @@ def _build_instance(args):
 
 
 def _read(path, inputs, vector=False):
-    """The matrix (or vector) in the file ``path``; records the file's SHA-256
-    in ``inputs[path]``."""
-    data = read_vector(path) if vector else read_matrix(path)
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    inputs[path] = h.hexdigest()
+    """The matrix (or vector) in the file ``path``; records the SHA-256 of
+    the bytes the reader parsed in ``inputs[path]``."""
+    digest = hashlib.sha256()
+    data = (read_vector if vector else read_matrix)(path, digest=digest)
+    inputs[path] = digest.hexdigest()
     return data
 
 

@@ -95,12 +95,24 @@ def commutator(A, C=None) -> np.ndarray:
     Two matrix products.  Without C this is A^H A - A A^H, Hermitian and zero
     iff A is normal.  C must be a square matrix of A's shape.
     """
+    if C is None:
+        return _commutator(as_square(A, "A"))
+    return _commutator(*_commutator_operands(A, C))
+
+
+def _commutator_operands(A, C):
+    """A validated as a square matrix and C as a matrix of A's shape."""
     A = as_square(A, "A")
+    C = as_matrix(C, "C")
+    if C.shape != A.shape:
+        raise DimensionError(f"C must have A's shape {A.shape}, got {C.shape}")
+    return A, C
+
+
+def _commutator(A, C=None) -> np.ndarray:
+    """:func:`commutator` of operands that are already validated."""
     D = A.conj().T
     if C is not None:
-        C = as_matrix(C, "C")
-        if C.shape != A.shape:
-            raise DimensionError(f"C must have A's shape {A.shape}, got {C.shape}")
         D = D - C
     return D @ A - A @ D
 
@@ -131,29 +143,92 @@ def _checked_svd(M, **kwargs):
         ) from exc
 
 
-def _ranked_svd(M, tol: float, compute_uv: bool, full_matrices: bool = True):
+def _check_tol(tol) -> None:
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+
+
+def _count_rule(s, tol: float, scale=None) -> int:
+    """Number of the values ``s`` (descending) above ``tol * scale``; the
+    scale defaults to ``max(s)``, and then a zero maximum counts nothing."""
+    if scale is None:
+        scale = float(s[0]) if s.size else 0.0
+        if not scale > 0:
+            return 0
+    return int(np.count_nonzero(s > tol * scale))
+
+
+def _ranked_svd(M, tol: float, full_matrices: bool = True):
     """``np.linalg.svd`` of a validated M, and the number of singular values
     above ``tol * max(s)`` (zero for the zero matrix)."""
     M = as_matrix(M)
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    out = _checked_svd(M, full_matrices=full_matrices, compute_uv=compute_uv)
-    s = out[1] if compute_uv else out
-    smax = float(s[0]) if s.size else 0.0
-    rank = int(np.count_nonzero(s > tol * smax)) if smax > 0 else 0
-    return out, rank
+    _check_tol(tol)
+    out = _checked_svd(M, full_matrices=full_matrices)
+    return out, _count_rule(out[1], tol)
+
+
+#: Columns of the fixed Gaussian sketch with which :func:`_count_above`
+#: tries to decide a count before it computes a full spectrum.
+SKETCH_COLUMNS = 8
+_SKETCH_SEED = 0x5CE7C8
+
+
+def _count_above(M, tol: float, scale=None, hermitian: bool = False) -> int:
+    """``_count_rule`` of the singular values of a validated M, proven from a
+    rank-``SKETCH_COLUMNS`` sketch when it can be, else from all of them.
+
+    With G a fixed-seed complex Gaussian n x 8 block, Q = qr(M G),
+    B = Q^H M and E = M - Q B, Q^H E = 0 gives M^H M = B^H B + E^H E, so
+    sigma_i(B) <= sigma_i(M) <= sigma_i(B) + ||E||_2 (sigma_i(B) = 0 past
+    the eighth).  With e = ||E||_F plus a slack of 64 eps sqrt(n) ||M||_F
+    for the rounding of the sketch and of the full spectrum it stands in
+    for, the cut ``tol * scale`` lies in [low, high] (tol (sigma_1(B) -+ e)
+    for the default scale sigma_max), and the count of sigma_i(B) - e > high
+    is proven when e <= low and every other sigma_i(B) + e <= low.  Any
+    other case (a value within e of the cut, rank above 8, a side of at
+    most 8, a norm outside (1e-250, 1e250), where the products could over-
+    or underflow) takes the full singular values, or the eigenvalue moduli
+    when ``hermitian``.  The zero matrix counts 0.
+    """
+    _check_tol(tol)
+    norm = fro(M)
+    if norm == 0.0:
+        return 0
+    if min(M.shape) > SKETCH_COLUMNS and 1e-250 < norm < 1e250:
+        rng = np.random.default_rng(_SKETCH_SEED)
+        G = rng.standard_normal((M.shape[1], 2 * SKETCH_COLUMNS)).view(np.complex128)
+        Q = np.linalg.qr(M @ G)[0]
+        B = Q.conj().T @ M
+        eps = np.finfo(np.float64).eps
+        e = fro(M - Q @ B) + 64 * eps * np.sqrt(max(M.shape)) * norm
+        s = _checked_svd(B, compute_uv=False)
+        if scale is None:
+            low, high = tol * (s[0] - e), tol * (s[0] + e)
+        else:
+            low = high = tol * scale
+        above = s - e > high
+        if e <= low and np.all(above | (s + e <= low)):
+            return int(np.count_nonzero(above))
+    s = _checked_svd(M, compute_uv=False, hermitian=hermitian)
+    return _count_rule(s, tol, scale)
 
 
 def svd(M, tol: float = DEFAULT_TOL) -> SvdResult:
     """Full SVD with a numerical rank decision at relative tolerance ``tol``."""
-    (U, s, Vh), rank = _ranked_svd(M, tol, compute_uv=True)
+    (U, s, Vh), rank = _ranked_svd(M, tol)
     return SvdResult(U, s, Vh.conj().T, rank)
 
 
 def numerical_rank(M, tol: float = DEFAULT_TOL) -> int:
     """Number of singular values above ``tol * max(s)``, the rank rule of
-    :func:`svd`, computed from the singular values alone."""
-    return _ranked_svd(M, tol, compute_uv=False)[1]
+    :func:`svd`, without singular vectors.
+
+    A rank-8 Gaussian sketch with an a-posteriori error bound decides the
+    count when the bound proves it (rank at most 8, no singular value near
+    the cut); otherwise all singular values are computed.  Either way the
+    count is that of the full spectrum.
+    """
+    return _count_above(as_matrix(M), tol)
 
 
 def orthonormal_range(Z, tol: float = DEFAULT_TOL):
@@ -163,7 +238,7 @@ def orthonormal_range(Z, tol: float = DEFAULT_TOL):
     singular vectors of the thin SVD under the rank rule of :func:`svd`.  The
     zero matrix yields s = 0 and an n x 0 array.
     """
-    (U, _, _), s = _ranked_svd(Z, tol, compute_uv=True, full_matrices=False)
+    (U, _, _), s = _ranked_svd(Z, tol, full_matrices=False)
     return U[:, :s].copy(), s
 
 

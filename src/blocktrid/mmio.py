@@ -12,7 +12,9 @@ separated by single spaces) with orjson, ``PANEL_BYTES`` of whole lines at a
 time, so memory beyond the result stays near one panel.  Any other body
 (comment lines, CRLF, other spacing, ``nan``, ``%.17g`` integers such as
 ``-0``) is parsed by ``np.loadtxt``, with the same values and errors.  A
-non-ASCII byte in a file raises ``MatrixMarketError``.
+non-ASCII byte in a file raises ``MatrixMarketError``.  A reader given a
+``digest`` (a :mod:`hashlib` object) feeds it every byte of the file as it
+reads, so a caller gets the file's hash without reading it twice.
 """
 
 from __future__ import annotations
@@ -56,10 +58,15 @@ def write_matrix(path, M) -> None:
             fh.write(text.replace(b"],[", b"\n").replace(b",", b" ") + b"\n")
 
 
-def read_matrix(path) -> np.ndarray:
-    """Read a Matrix Market dense array file (complex or real, general)."""
+def read_matrix(path, *, digest=None) -> np.ndarray:
+    """Read a Matrix Market dense array file (complex or real, general).
+
+    ``digest.update`` receives every byte of the file, in order, from the
+    same reads that parse it.
+    """
+    update = digest.update if digest is not None else _ignore
     with open(path, "rb") as fh:
-        tokens = _header_line(fh, path).strip().lower().split()
+        tokens = _header_line(fh, path, update).strip().lower().split()
         if len(tokens) != 5 or tokens[0] != "%%matrixmarket":
             raise MatrixMarketError(f"{path}: not a Matrix Market file")
         _, obj, fmt, field, symmetry = tokens
@@ -69,9 +76,9 @@ def read_matrix(path) -> np.ndarray:
             raise MatrixMarketError(f"{path}: unsupported field {field!r}")
         if symmetry != "general":
             raise MatrixMarketError(f"{path}: only 'general' symmetry is supported")
-        line = _header_line(fh, path)
+        line = _header_line(fh, path, update)
         while line.startswith("%"):
-            line = _header_line(fh, path)
+            line = _header_line(fh, path, update)
         try:
             rows, cols = (int(t) for t in line.split())
         except ValueError as exc:
@@ -80,8 +87,11 @@ def read_matrix(path) -> np.ndarray:
             raise MatrixMarketError(f"{path}: empty array {rows}x{cols}")
         width = 2 if field == "complex" else 1
         start = fh.tell()
-        body = _read_panels(fh, rows * cols, width)
+        body = _read_panels(fh, rows * cols, width, update)
         if body is None:
+            # hash the bytes the panels did not reach, then parse them all
+            while block := fh.read(PANEL_BYTES):
+                update(block)
             fh.seek(start)
             with warnings.catch_warnings():
                 # an empty body is reported below as a wrong entry count
@@ -104,22 +114,27 @@ def read_matrix(path) -> np.ndarray:
     return values.reshape((rows, cols), order="F")
 
 
-def _header_line(fh, path) -> str:
+def _ignore(data) -> None:
+    pass
+
+
+def _header_line(fh, path, update) -> str:
     raw = fh.readline()
+    update(raw)
     try:
         return raw.decode("ascii")
     except UnicodeDecodeError as exc:
         raise MatrixMarketError(f"{path}: non-ASCII header line {raw!r}") from exc
 
 
-def _read_panels(fh, entries: int, width: int) -> np.ndarray | None:
+def _read_panels(fh, entries: int, width: int, update=_ignore) -> np.ndarray | None:
     """The rest of ``fh`` as an ``(entries, width)`` array, or None.
 
     Each panel of whole lines goes through one ``orjson.loads`` of its
     comma-joined tokens.  Returns None, with part of the body consumed,
     unless there are ``entries`` lines of ``width`` JSON floats separated by
     single spaces; a JSON integer counts as foreign, since orjson reads
-    ``-0`` as the int 0.
+    ``-0`` as the int 0.  Every byte read goes to ``update`` first.
     """
     if 2 * entries * width > os.fstat(fh.fileno()).st_size - fh.tell():
         return None  # too short for the declared size, whatever the layout
@@ -127,6 +142,7 @@ def _read_panels(fh, entries: int, width: int) -> np.ndarray | None:
     line = b" " * (width - 1) + b"\n"
     filled, rest = 0, b""
     while block := fh.read(PANEL_BYTES):
+        update(block)
         cut = block.rfind(b"\n") + 1
         if cut == 0:
             return None
@@ -156,9 +172,10 @@ def write_vector(path, v) -> None:
     write_matrix(path, v)
 
 
-def read_vector(path) -> np.ndarray:
-    """Read an n x 1 (or 1 x n) array file as a 1-D vector."""
-    M = read_matrix(path)
+def read_vector(path, *, digest=None) -> np.ndarray:
+    """Read an n x 1 (or 1 x n) array file as a 1-D vector; ``digest`` as
+    in :func:`read_matrix`."""
+    M = read_matrix(path, digest=digest)
     if M.shape[1] == 1:
         return M[:, 0]
     if M.shape[0] == 1:

@@ -34,6 +34,7 @@ from blocktrid import (
     starting_block_rank_two,
     subspace_inclusion_residual,
 )
+from blocktrid import matcore
 from blocktrid.errors import SolverFailure
 
 from helpers import crandn
@@ -185,23 +186,31 @@ class TestCertifyAgainstFullSvd:
     Delta(A) and of C."""
 
     @staticmethod
-    def check(A, C, k):
+    def fields(A, C, k, tol):
+        """(residual, range_dim, perturbation_rank, valid) from full SVDs."""
         A = np.asarray(A, dtype=np.complex128)
         C = np.asarray(C, dtype=np.complex128)
         scale = np.linalg.norm(A) ** 2
         D = A.conj().T - C
         residual = np.linalg.norm(D @ A - A @ D) / scale
-        left, s_delta, _ = np.linalg.svd(A.conj().T @ A - A @ A.conj().T)
+        s_delta = np.linalg.svd(A.conj().T @ A - A @ A.conj().T, compute_uv=False)
         s_c = np.linalg.svd(C, compute_uv=False)
+        dim = int(np.count_nonzero(s_delta > tol * scale))
+        rank_c = int(np.count_nonzero(s_c > tol * s_c[0])) if s_c[0] > 0 else 0
+        return residual, dim, rank_c, residual <= tol and rank_c <= k
+
+    @classmethod
+    def check(cls, A, C, k):
+        A = np.asarray(A, dtype=np.complex128)
+        left = np.linalg.svd(A.conj().T @ A - A @ A.conj().T)[0]
         n = A.shape[0]
         for tol in (1e-10, 1e-8):
-            dim = int(np.count_nonzero(s_delta > tol * scale))
-            rank_c = int(np.count_nonzero(s_c > tol * s_c[0])) if s_c[0] > 0 else 0
+            residual, dim, rank_c, valid = cls.fields(A, C, k, tol)
             cert = certify(A, C, k, tol)
             assert cert.residual == residual  # bit for bit
             assert cert.range_dim == dim
             assert cert.perturbation_rank == rank_c
-            assert cert.valid == (residual <= tol and rank_c <= k)
+            assert cert.valid == valid
             basis = cert.range_basis
             assert basis.shape == (n, dim)
             assert fro(basis.conj().T @ basis - np.eye(dim)) <= 1e-12
@@ -218,6 +227,28 @@ class TestCertifyAgainstFullSvd:
     @pytest.mark.parametrize("name", ["dense", "dense-scaled", "normal-plus-noise"])
     def test_negative_controls(self, name):
         self.check(*_negative_control(name))
+
+
+class TestCertifyFastPath:
+    @pytest.mark.parametrize("family", ["arrow", "unitary", "circle"])
+    def test_no_full_spectrum_at_n_128(self, monkeypatch, family):
+        """Generated certificates at n = 128 are decided by the sketch: a
+        square spectrum of order 64 or more would be the O(n^3) fallback."""
+        cases = list(_certify_instances(family, 128))
+        checked = matcore._checked_svd
+
+        def guard(M, **kwargs):
+            if M.shape[0] == M.shape[1] >= 64:
+                raise AssertionError(f"full spectrum of a {M.shape} matrix")
+            return checked(M, **kwargs)
+
+        for A, C, k in cases:
+            reference = TestCertifyAgainstFullSvd.fields(A, C, k, 1e-10)
+            with monkeypatch.context() as patch:
+                patch.setattr(matcore, "_checked_svd", guard)
+                cert = certify(A, C, k)
+            assert (cert.residual, cert.range_dim, cert.perturbation_rank,
+                    cert.valid) == reference
 
 
 class TestHermitianPerturbation:

@@ -10,7 +10,7 @@ import orjson
 import pytest
 
 from blocktrid.almostnormal import CommutatorCertificate, certify
-from blocktrid import cli
+from blocktrid import cli, mmio
 from blocktrid.cli import main
 from blocktrid.mmio import read_matrix, write_matrix
 
@@ -163,6 +163,22 @@ class TestReduce:
             str(gen / name): hashlib.sha256((gen / name).read_bytes()).hexdigest()
             for name in read
         }
+
+    def test_each_input_is_opened_once(self, tmp_path, monkeypatch):
+        gen, red = tmp_path / "gen", tmp_path / "red"
+        run("generate", "--family", "arrow", "--n", "16", "--seed", "1",
+            "--out", str(gen))
+        opened = []
+
+        def recording_open(path, *args, **kwargs):
+            opened.append(str(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", recording_open, raising=False)
+        monkeypatch.setattr(mmio, "open", recording_open, raising=False)
+        assert run("reduce", str(gen), "--out", str(red)) == 0
+        read = [p for p in opened if p.startswith(str(gen))]
+        assert sorted(read) == sorted(load_report(red / "report.json")["inputs"])
 
     def test_zero_matrix_has_zero_residuals(self, tmp_path):
         a, start, red = tmp_path / "zero.mtx", tmp_path / "Z.mtx", tmp_path / "red"
@@ -538,3 +554,4 @@ class TestReports:
                    "--seed", str(2**70), "--out", str(out)) == 4
         assert capsys.readouterr().err == "error: Integer exceeds 64-bit range\n"
         assert not (out / "manifest.json").exists()
+        assert not list(out.glob("*.mtx"))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blocktrid
+from blocktrid import matcore
 from blocktrid import (
     DimensionError,
     antihermitian_part,
@@ -225,6 +226,119 @@ class TestNumericalRank:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             numerical_rank(np.eye(2), tol=-1.0)
+
+
+def full_count(M, tol, scale=None):
+    """The rank rule on a plain full SVD: singular values above tol * scale,
+    the scale defaulting to the largest (zero for the zero matrix)."""
+    s = np.linalg.svd(M, compute_uv=False)
+    if scale is None:
+        return int(np.count_nonzero(s > tol * s[0])) if s[0] > 0 else 0
+    return int(np.count_nonzero(s > tol * scale))
+
+
+def planted(rng, n, values):
+    """An n x n matrix with the given singular values (the rest zero)."""
+    r = len(values)
+    U = np.linalg.qr(crandn(rng, n, r))[0]
+    V = np.linalg.qr(crandn(rng, n, r))[0]
+    return (U * np.asarray(values, dtype=float)) @ V.conj().T
+
+
+@pytest.fixture
+def spectra(monkeypatch):
+    """Shapes of the matrices whose singular values ``matcore`` computes."""
+    seen = []
+    checked = matcore._checked_svd
+
+    def record(M, **kwargs):
+        seen.append(M.shape)
+        return checked(M, **kwargs)
+
+    monkeypatch.setattr(matcore, "_checked_svd", record)
+    return seen
+
+
+class TestCountAbove:
+    """``matcore._count_above`` against a plain full-SVD count.  A full
+    spectrum of M (a call with M's own shape) marks the fallback."""
+
+    @pytest.mark.parametrize("kind", ["relative", "scale"])
+    @pytest.mark.parametrize("k", range(2, 15))
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_planted_value_at_the_cut(self, spectra, kind, k, sign):
+        n, tol, scale = 64, 1e-10, 2.5
+        cut = tol * (1.0 if kind == "relative" else scale)
+        for seed in range(4):
+            rng = np.random.default_rng([k, seed, sign + 1])
+            M = planted(rng, n, [1.0, 0.3, cut * (1 + sign * 10.0**-k), 1e-3 * cut])
+            given = None if kind == "relative" else scale
+            spectra.clear()
+            assert matcore._count_above(M, tol, given) == full_count(M, tol, given)
+            fell_back = (n, n) in spectra
+            # 1e-12 of distance is proven, 1e-15 is inside the bound
+            if k == 2:
+                assert not fell_back
+            elif k >= 5:
+                assert fell_back
+
+    @pytest.mark.parametrize("rank", [9, 12, 40])
+    def test_rank_above_the_sketch_falls_back(self, spectra, rank):
+        rng = np.random.default_rng(rank)
+        M = planted(rng, 64, np.linspace(1.0, 0.1, rank))
+        assert numerical_rank(M) == full_count(M, 1e-10) == rank
+        assert (64, 64) in spectra
+
+    @pytest.mark.parametrize("rank", range(9))
+    def test_rank_within_the_sketch_is_proven(self, spectra, rank):
+        rng = np.random.default_rng(rank)
+        M = planted(rng, 64, np.geomspace(1.0, 1e-6, rank))
+        assert numerical_rank(M) == full_count(M, 1e-10) == rank
+        assert (64, 64) not in spectra
+
+    @pytest.mark.parametrize("scale", [None, 1.0, 0.0])
+    def test_zero_matrix(self, spectra, scale):
+        assert matcore._count_above(np.zeros((64, 64), complex), 1e-10, scale) == 0
+        assert spectra == []
+
+    @pytest.mark.parametrize("factor", [1.0, 1e-6])
+    def test_verify_negative_controls(self, factor):
+        rng = np.random.default_rng(20130621)
+        A = factor * (rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+        delta = commutator(A)
+        scale = fro(A) ** 2
+        for tol in (1e-10, 1e-8):
+            assert numerical_rank(A, tol) == full_count(A, tol) == 64
+            assert numerical_rank(np.zeros((64, 64)), tol) == 0
+            dim = matcore._count_above(delta, tol, scale, hermitian=True)
+            assert dim == full_count(delta, tol, scale)
+
+    @pytest.mark.parametrize("factor", [1e-160, 1e-8, 1e8, 1e160])
+    def test_extreme_scales_count_as_before(self, spectra, factor):
+        rng = np.random.default_rng(5)
+        M = factor * planted(rng, 48, [1.0, 0.5, 1e-9, 1e-13])
+        given = 0.25 * factor
+        for tol in (1e-10, 1e-8, 1e-12):
+            before = svd(M, tol).numerical_rank
+            spectra.clear()
+            assert numerical_rank(M, tol) == before == full_count(M, tol)
+            assert matcore._count_above(M, tol, given) == full_count(M, tol, given)
+            assert (48, 48) not in spectra, tol
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        values=st.lists(st.floats(1e-14, 1.0), max_size=12),
+        noise=st.sampled_from([0.0, 1e-16, 1e-12, 1e-9, 1e-6]),
+        tol=st.sampled_from([1e-10, 1e-8]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_full_count(self, seed, n, values, noise, tol):
+        rng = np.random.default_rng(seed)
+        M = planted(rng, n, values[:n]) + noise * crandn(rng, n, n)
+        assert numerical_rank(M, tol) == full_count(M, tol)
+        scale = float(rng.uniform(0.5, 2.0))
+        assert matcore._count_above(M, tol, scale) == full_count(M, tol, scale)
 
 
 class TestOrthonormalRange:

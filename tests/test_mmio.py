@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import os
 import tracemalloc
 import warnings
@@ -228,6 +229,58 @@ def test_read_parses_one_panel_at_a_time(tmp_path):
     # the result plus a few panels' bytes, tokens and floats; parsing the
     # whole body at once would hold the 2.6 MB text and more
     assert peak < M.nbytes + 8 * PANEL_BYTES < os.path.getsize(path) / 1.5
+
+
+@pytest.mark.parametrize(
+    "layout", ["writer", "first-panel", "mid-comments", "trailing-comment", "crlf"]
+)
+def test_digest_covers_every_byte(tmp_path, layout):
+    """The digest the reader feeds equals the SHA-256 of the file, whether
+    the orjson panels parse all of it, refuse its first panel, or refuse one
+    later and hand the rest to ``np.loadtxt``."""
+    M, lines = big_text(np.random.default_rng(12))
+    path = tmp_path / "m.mtx"
+    if layout == "writer":
+        write_matrix(path, M)
+    elif layout == "first-panel":
+        write_matrix(tmp_path / "w.mtx", M)
+        foreign(path, (tmp_path / "w.mtx").read_bytes())
+    else:
+        if layout == "mid-comments":
+            lines.insert(3000, "% a comment inside the body")
+        elif layout == "trailing-comment":
+            lines[-1] += " % last"
+        eol = "\r\n" if layout == "crlf" else "\n"
+        path.write_bytes((eol.join([BANNER, "64 64", *lines]) + eol).encode("ascii"))
+    assert (read_fast(path, M.size, 2) is None) == (layout != "writer")
+    digest = hashlib.sha256()
+    assert_same_bits(read_matrix(path, digest=digest), M)
+    assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_vector_digest(tmp_path):
+    v = crandn(np.random.default_rng(13), 300)
+    path = tmp_path / "v.mtx"
+    write_vector(path, v)
+    digest = hashlib.sha256()
+    assert np.array_equal(read_vector(path, digest=digest), v)
+    assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_digest_keeps_one_panel_in_memory(tmp_path):
+    M = crandn(np.random.default_rng(11), 256, 256)
+    path = tmp_path / "big.mtx"
+    write_matrix(path, M)
+    digest = hashlib.sha256()
+    tracemalloc.start()
+    try:
+        back = read_matrix(path, digest=digest)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, M)
+    assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert peak < M.nbytes + 8 * PANEL_BYTES
 
 
 def test_banner_is_standard(tmp_path):
