@@ -8,6 +8,11 @@ Subcommands chain into reproducible file-based pipelines::
     blocktrid qr-track red/A_trid.mtx red/C_trid.mtx --steps 30 --out track.json
     blocktrid verify work/A.mtx work/C.mtx --k 2
 
+``generate`` writes each instance with its family's starting block
+(``Z.mtx``) and records the reduction phase in the manifest; ``reduce``
+Lanczos-reduces the Hermitian part of ``phase * A`` from that block, the
+same path for every family, so it holds no family rules.
+
 Exit codes: 0 success, 2 verification failure, 3 I/O error, 4 contract
 violation or numerical failure (a solver or SVD that does not converge).
 All reports are JSON with a fixed schema version and relative residuals;
@@ -27,17 +32,8 @@ import numpy as np
 import orjson
 
 from . import __version__
-from .almostnormal import (
-    ConicCoefficients,
-    antihermitian_rescaling,
-    certify,
-    commutator_residual,
-    rotate_leading_form,
-    starting_block_curve,
-    starting_block_rank_one,
-)
-from .errors import ContractError, GenerationError, LinearVarietyError
-from .errors import NumericalError, SolverFailure
+from .almostnormal import ConicCoefficients, certify, commutator_residual
+from .errors import ContractError, GenerationError, NumericalError, SolverFailure
 from .generators import (
     arrow_hermitian_plus_rank_one,
     chebyshev_colleague,
@@ -48,11 +44,17 @@ from .generators import (
     solve_commutator_equation,
 )
 from .lanczos import block_lanczos
-from .matcore import commutator, fro, hermitian_part, orthonormal_range
-from .mmio import MatrixMarketError, read_matrix, read_vector, write_matrix, write_vector
+from .matcore import fro, hermitian_part
+from .mmio import MatrixMarketError, read_matrix, write_matrix, write_vector
 from .structure import off_profile_residual, qr_iteration_tracked
 
-SCHEMA_VERSION = "2"
+# unused here: clibench/layers.py traces these names on this module
+from .almostnormal import antihermitian_rescaling, rotate_leading_form  # noqa: F401
+from .almostnormal import starting_block_curve, starting_block_rank_one  # noqa: F401
+from .matcore import commutator, orthonormal_range  # noqa: F401
+from .mmio import read_vector  # noqa: F401
+
+SCHEMA_VERSION = "3"
 _STDOUT_JSON_OPTIONS = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
 _JSON_OPTIONS = _STDOUT_JSON_OPTIONS | orjson.OPT_INDENT_2
 
@@ -84,18 +86,6 @@ def _conic_to_json(c: ConicCoefficients) -> dict:
         value = getattr(c, f.name)
         out[f.name] = _cplx(value) if f.type == "complex" else value
     return out
-
-
-def _conic_from_json(d: dict) -> ConicCoefficients:
-    def decode(f):
-        value = d[f.name]
-        if f.type == "complex":
-            return complex(*value)
-        return tuple(value) if isinstance(value, list) else value
-
-    return ConicCoefficients(
-        **{f.name: decode(f) for f in dataclasses.fields(ConicCoefficients)}
-    )
 
 
 def _cert_to_json(cert) -> dict | None:
@@ -143,10 +133,13 @@ def _parse_coeffs(text: str) -> list[complex]:
 
 def cmd_generate(args, argv) -> int:
     if args.family == "fourier-sum":
-        H, Z = fourier_sum(args.n, args.seed)
-        inst, params = None, {}
+        matrix, Z = fourier_sum(args.n, args.seed)
+        inst, params, phase = None, {}, 1.0
     else:
         inst, params = _build_instance(args)
+        if inst.start is None:
+            raise ContractError("C vanishes, so the instance has no starting block")
+        matrix, Z, phase = inst.matrix, inst.start, inst.phase
     out = args.out
     files: dict[str, str] = {}
     writes = []
@@ -156,24 +149,22 @@ def cmd_generate(args, argv) -> int:
         "seed": args.seed,
         "tool_version": __version__,
         "params": params,
+        "n": int(matrix.shape[0]),
+        "phase": _cplx(phase),
     }
 
     def save(role, name, data, vector=False):
         writes.append((os.path.join(out, name), data, vector))
         files[role] = name
 
-    if inst is None:
-        save("matrix", "H.mtx", H)
-        save("start", "Z.mtx", Z)
-        manifest["n"] = args.n
-    else:
-        save("matrix", "A.mtx", inst.matrix)
+    save("matrix", "H.mtx" if inst is None else "A.mtx", matrix)
+    save("start", "Z.mtx", Z)
+    if inst is not None:
         for role in ("x", "y", "u", "v"):
             if role in inst.perturbation_data:
                 save(role, f"{role}.mtx", inst.perturbation_data[role], vector=True)
         if "C" in inst.perturbation_data:
             save("perturbation", "C.mtx", inst.perturbation_data["C"])
-        manifest["n"] = int(inst.matrix.shape[0])
         manifest["certificate"] = _cert_to_json(inst.certificate)
         manifest["instance_family"] = inst.family
         if inst.conic is not None:
@@ -219,52 +210,13 @@ def _build_instance(args):
     return random_unitary_plus_rank_one(args.n, args.seed), {}
 
 
-def _read(path, inputs, vector=False):
-    """The matrix (or vector) in the file ``path``; records the SHA-256 of
-    the bytes the reader parsed in ``inputs[path]``."""
+def _read(path, inputs):
+    """The matrix in the file ``path``; records the SHA-256 of the bytes the
+    reader parsed in ``inputs[path]``."""
     digest = hashlib.sha256()
-    data = (read_vector if vector else read_matrix)(path, digest=digest)
+    data = read_matrix(path, digest=digest)
     inputs[path] = digest.hexdigest()
     return data
-
-
-def _starting_block(manifest, A, read):
-    """Starting block and reduction phase for the manifest's family.
-
-    Returns ``(Z, phase)``: the block Lanczos run reduces the Hermitian part
-    of ``phase * A``, whose basis block-tridiagonalizes A itself.  The phase
-    differs from 1 for curve instances violating the leading-form condition
-    and for dependent rank-one perturbations.  ``read(role, vector)`` reads
-    the manifest's file for ``role``.
-    """
-    fam = manifest["family"]
-    if fam in ("arrow", "colleague"):
-        return np.column_stack([read("x", True), read("y", True)]), 1.0 + 0j
-    if fam in ("companion", "unitary"):
-        basis, dim = orthonormal_range(commutator(A))
-        if dim == 0:
-            raise ContractError("commutator vanishes; nothing to reduce structurally")
-        return basis[:, : min(dim, 4)], 1.0 + 0j
-    if fam == "curve":
-        conic = _conic_from_json(manifest["conic"])
-        u, v = read("u", True), read("v", True)
-        try:
-            rotated = rotate_leading_form(conic)
-        except LinearVarietyError:
-            # Spectrum on a line: the matrix is Hermitian plus rank one.
-            return np.column_stack([u, v]), 1.0 + 0j
-        phase = np.exp(1j * rotated.theta)
-        return starting_block_curve(phase * A, phase * u, v, rotated), phase
-    if fam == "fourier-sum":
-        return read("start"), 1.0 + 0j
-    if fam == "solved":
-        u, v = read("u", True), read("v", True)
-        Z = starting_block_rank_one(A, u, v)
-        if Z.shape[1] == 1:
-            w = antihermitian_rescaling(u, v)
-            return Z, w / abs(w)
-        return Z, 1.0 + 0j
-    raise ContractError(f"no automatic starting block rule for family {fam!r}")
 
 
 def cmd_reduce(args, argv) -> int:
@@ -272,8 +224,8 @@ def cmd_reduce(args, argv) -> int:
     inputs: dict[str, str] = {}
     manifest = None
 
-    def read(role, vector=False):
-        return _read(os.path.join(args.input, manifest["files"][role]), inputs, vector)
+    def read(role):
+        return _read(os.path.join(args.input, manifest["files"][role]), inputs)
 
     if os.path.isdir(args.input):
         manifest_path = os.path.join(args.input, "manifest.json")
@@ -284,16 +236,15 @@ def cmd_reduce(args, argv) -> int:
         A = read("matrix")
     else:
         A = _read(args.input, inputs)
-    phase = 1.0 + 0j
     if args.start != "auto":
-        Z = _read(args.start, inputs)
+        Z, phase = _read(args.start, inputs), 1.0 + 0j
     elif manifest is None:
         raise ContractError(
             "automatic starting blocks need a manifest directory; "
             "pass --start with an explicit block file instead"
         )
     else:
-        Z, phase = _starting_block(manifest, A, read)
+        Z, phase = read("start"), complex(*manifest["phase"])
     red = block_lanczos(hermitian_part(phase * A), Z, tol=args.tol)
     U, T = red.basis, red.trid
     n = A.shape[0]

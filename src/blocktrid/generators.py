@@ -17,12 +17,16 @@ import numpy as np
 from .almostnormal import (
     CommutatorCertificate,
     ConicCoefficients,
+    antihermitian_rescaling,
     certify,
     conic_fit,
     perturbation_hermitian_rank_one,
     perturbation_unitary_rank_one,
+    rotate_leading_form,
+    starting_block_curve,
+    starting_block_rank_one,
 )
-from .errors import GenerationError, SingularityError, SolverFailure
+from .errors import GenerationError, LinearVarietyError, SingularityError, SolverFailure
 from .matcore import as_square, commutator, fro, svd
 from .structure import _envelope_mask
 
@@ -47,11 +51,16 @@ GAUSS_NEWTON_ITERS = 50
 
 @dataclass(frozen=True)
 class GeneratedInstance:
-    """A concrete matrix with its structural data and certificate.
+    """A concrete matrix with its structural data, certificate and start.
 
     ``perturbation_data`` holds the named vectors and factors of the
     structural definition (for example ``x``, ``y`` and the Hermitian part for
     a Hermitian-plus-rank-one instance), so the matrix can be rebuilt exactly.
+
+    ``start`` (n x l) and the unit ``phase`` are the family's reduction:
+    ``block_lanczos(hermitian_part(phase * matrix), start)`` block
+    tridiagonalizes ``matrix`` within the family's block bound.  ``start`` is
+    None only for the zero-perturbation :func:`solve_commutator_equation`.
     """
 
     matrix: np.ndarray
@@ -59,7 +68,9 @@ class GeneratedInstance:
     perturbation_data: dict
     certificate: CommutatorCertificate | None
     seed: int
+    start: np.ndarray | None
     conic: ConicCoefficients | None = field(default=None)
+    phase: complex = 1.0 + 0j
 
 
 def _rng(family: str, seed: int, extra: tuple[int, ...] = ()) -> np.random.Generator:
@@ -83,6 +94,13 @@ def _haar_unitary(rng, n: int) -> np.ndarray:
     return Q * (d / np.abs(d))
 
 
+def _unitary_start(A, x, y) -> np.ndarray:
+    """[x, y, A^H x, A y] for A = U + x y^H, U unitary: since U^H x = A^H x -
+    y ||x||^2 and U y = A y - x ||y||^2, it spans {x, y, U^H x, U y}, which
+    contains range(A^H A - A A^H).  O(n^2), without forming A^H."""
+    return np.column_stack([x, y, (x.conj() @ A).conj(), A @ y])
+
+
 def arrow_hermitian_plus_rank_one(n: int, seed: int) -> GeneratedInstance:
     """Real arrow matrix (nonzero diagonal plus first row and column) with a
     random rank-one modification x y^H and its antihermitian perturbation C."""
@@ -104,6 +122,7 @@ def arrow_hermitian_plus_rank_one(n: int, seed: int) -> GeneratedInstance:
         perturbation_data={"hermitian": H, "x": x, "y": y, "C": C},
         certificate=certify(A, C, 2),
         seed=seed,
+        start=np.column_stack([x, y]),
     )
 
 
@@ -144,6 +163,7 @@ def companion(coeffs) -> GeneratedInstance:
         perturbation_data=data,
         certificate=cert,
         seed=0,
+        start=_unitary_start(A, x, y),
     )
 
 
@@ -178,6 +198,7 @@ def chebyshev_colleague(coeffs) -> GeneratedInstance:
         perturbation_data={"hermitian": H, "x": x, "y": y, "C": C},
         certificate=certify(A, C, 2),
         seed=0,
+        start=np.column_stack([x, y]),
     )
 
 
@@ -238,13 +259,24 @@ def curve_normal_plus_rank_one(n: int, curve: str, seed: int) -> GeneratedInstan
     data = {"normal": N, "u": u, "v": v, "eigenvalues": lam}
     if cert is not None:
         data["C"] = cert.perturbation
+    conic = conic_fit(lam)
+    try:
+        rotated = rotate_leading_form(conic)
+    except LinearVarietyError:
+        # spectrum on a line: A is Hermitian plus rank one
+        start, phase = np.column_stack([u, v]), 1.0 + 0j
+    else:
+        phase = np.exp(1j * rotated.theta)
+        start = starting_block_curve(phase * A, phase * u, v, rotated)
     return GeneratedInstance(
         matrix=A,
         family="curve_normal_h1",
         perturbation_data=data,
         certificate=cert,
         seed=seed,
-        conic=conic_fit(lam),
+        start=start,
+        conic=conic,
+        phase=complex(phase),
     )
 
 
@@ -277,6 +309,7 @@ def random_unitary_plus_rank_one(n: int, seed: int) -> GeneratedInstance:
         perturbation_data={"unitary": U, "x": x, "y": y, "C": C},
         certificate=cert,
         seed=seed,
+        start=_unitary_start(A, x, y),
     )
 
 
@@ -357,7 +390,9 @@ def solve_commutator_equation(C, seed: int = 0) -> GeneratedInstance:
     2 x 2 blocks (the shape in which solutions are known to exist).  Up to
     eight restarts with fresh streams are attempted; success means a residual
     at most ``1e-10 * max(1, ||X||_F^2)``.  The zero perturbation is answered
-    directly with a seeded random normal matrix.
+    directly with a seeded random normal matrix, which has no start.  Other
+    starts are :func:`starting_block_rank_one`, with the phase of
+    :func:`antihermitian_rescaling` when that is one column.
 
     Sizes above 16 are rejected; the dense Jacobian makes larger systems
     pointless for a test-instance generator.
@@ -383,20 +418,28 @@ def solve_commutator_equation(C, seed: int = 0) -> GeneratedInstance:
             perturbation_data={"u": np.zeros(n, complex), "v": np.zeros(n, complex)},
             certificate=certify(X, C, 1),
             seed=seed,
+            start=None,
         )
     u = sv.singular_values[0] * sv.left_vectors[:, 0]
     v = sv.right_vectors[:, 0]
+    phase = 1.0 + 0j
     for attempt in range(8):
         rng = _rng("solved_commutator", seed, (attempt,))
         X0 = _block_tridiagonal_init(rng, n)
         X, ok = _gauss_newton(X0, C)
         if ok:
+            start = starting_block_rank_one(X, u, v)
+            if start.shape[1] == 1:
+                w = antihermitian_rescaling(u, v)
+                phase = w / abs(w)
             return GeneratedInstance(
                 matrix=X,
                 family="solved_commutator",
                 perturbation_data={"u": u, "v": v, "C": C},
                 certificate=certify(X, C, 1),
                 seed=seed,
+                start=start,
+                phase=phase,
             )
     raise SolverFailure(
         "commutator equation solver did not converge after 8 restarts "

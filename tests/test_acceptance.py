@@ -27,9 +27,7 @@ from blocktrid import (
     perturbation_unitary_rank_one,
     qr_iteration_tracked,
     random_unitary_plus_rank_one,
-    rotate_leading_form,
     solve_commutator_equation,
-    starting_block_curve,
     starting_block_rank_one,
 )
 from blocktrid.almostnormal import ConicCoefficients
@@ -93,12 +91,7 @@ def test_03_companion_identities_and_reduction():
 def test_04_curve_normal_parabola_arc():
     inst = curve_normal_plus_rank_one(32, "parabola_arc", 3)
     assert inst.conic.max_residual <= 1e-10
-    rot = rotate_leading_form(inst.conic)
-    phase = np.exp(1j * rot.theta)
-    A = phase * inst.matrix
-    Z = starting_block_curve(
-        A, phase * inst.perturbation_data["u"], inst.perturbation_data["v"], rot
-    )
+    A, Z = inst.phase * inst.matrix, inst.start
     assert Z.shape[1] == 6
     red = block_lanczos(hermitian_part(A), Z)
     assert red.block_sizes[0] <= 6
@@ -124,10 +117,7 @@ def test_06_krylov_inclusion_suites():
     worst = 0.0
     for seed in range(10):
         inst = arrow_hermitian_plus_rank_one(24, seed)
-        Z = np.column_stack(
-            [inst.perturbation_data["x"], inst.perturbation_data["y"]]
-        )
-        worst = max(worst, max(krylov_inclusion_check(inst.matrix, Z, 5)))
+        worst = max(worst, max(krylov_inclusion_check(inst.matrix, inst.start, 5)))
     for seed in range(10):
         inst = random_unitary_plus_rank_one(32, seed)
         worst = max(
@@ -136,13 +126,8 @@ def test_06_krylov_inclusion_suites():
         )
     for seed in range(10):
         inst = curve_normal_plus_rank_one(24, "parabola_arc", seed)
-        rot = rotate_leading_form(inst.conic)
-        phase = np.exp(1j * rot.theta)
-        A = phase * inst.matrix
-        Z = starting_block_curve(
-            A, phase * inst.perturbation_data["u"], inst.perturbation_data["v"], rot
-        )
-        worst = max(worst, max(krylov_inclusion_check(A, Z, 5)))
+        A = inst.phase * inst.matrix
+        worst = max(worst, max(krylov_inclusion_check(A, inst.start, 5)))
     assert worst <= 1e-9
     report(f"6 krylov inclusion, 30 instances, j <= 5: worst {worst:.2e} <= 1e-9")
 

@@ -32,10 +32,28 @@ class TestGenerate:
         assert run("generate", "--family", "companion",
                    "--coeffs", "1,0,0,0,1", "--out", str(out)) == 0
         manifest = load_report(out / "manifest.json")
-        assert manifest["schema_version"] == "2"
+        assert manifest["schema_version"] == "3"
         assert (out / manifest["files"]["matrix"]).exists()
         assert (out / manifest["files"]["perturbation"]).exists()
         assert manifest["certificate"]["residual"] <= 1e-10
+
+    @pytest.mark.parametrize("family, extra", [
+        ("arrow", ()),
+        ("unitary", ()),
+        ("companion", ("--coeffs", "1,0.3,0,0.2,1,0,0,0.5,1.2")),
+        ("colleague", ("--coeffs", "1,0.3,0,0.2,1,0,0,0.5,1.2")),
+        ("curve", ("--curve", "parabola-arc")),
+        ("fourier-sum", ()),
+    ])
+    def test_every_family_writes_start_and_phase(self, tmp_path, family, extra):
+        out = tmp_path / "gen"
+        assert run("generate", "--family", family, "--n", "16", "--seed", "3",
+                   *extra, "--out", str(out)) == 0
+        manifest = load_report(out / "manifest.json")
+        assert manifest["files"]["start"] == "Z.mtx"
+        assert read_matrix(out / "Z.mtx").shape[0] == manifest["n"]
+        re, im = manifest["phase"]
+        assert abs(complex(re, im)) == pytest.approx(1.0, abs=1e-15)
 
     def test_fourier_writes_matrix_and_start(self, tmp_path):
         out = tmp_path / "fs"
@@ -83,6 +101,15 @@ class TestGenerate:
                    "--out", str(out)) == 4
         assert capsys.readouterr().err.startswith("error: ")
         assert not list(tmp_path.rglob("*.mtx"))
+
+    def test_zero_perturbation_writes_no_file(self, tmp_path, capsys):
+        # --alpha 0 makes C = 0: the instance has nothing to start a reduction from
+        out = tmp_path / "gen"
+        assert run("generate", "--family", "solved", "--n", "4", "--c-kind", "dependent",
+                   "--alpha", "0", "--out", str(out)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestReduce:
@@ -151,7 +178,7 @@ class TestReduce:
         assert max(load_report(red / "report.json")["block_sizes"]) <= 2
 
     @pytest.mark.parametrize("family, read", [
-        ("arrow", ("A.mtx", "manifest.json", "x.mtx", "y.mtx", "C.mtx")),
+        ("arrow", ("A.mtx", "manifest.json", "Z.mtx", "C.mtx")),
         ("fourier-sum", ("H.mtx", "manifest.json", "Z.mtx")),
     ])
     def test_inputs_hash_every_file_read(self, tmp_path, family, read):
@@ -229,16 +256,29 @@ class TestReduce:
     def test_missing_input_is_io_error(self, tmp_path):
         assert run("reduce", str(tmp_path / "nope"), "--out", str(tmp_path)) == 3
 
-    def test_curve_manifest_without_conic_names_field(self, tmp_path, capsys):
+    def test_manifest_without_start_names_field(self, tmp_path, capsys):
+        # a schema "2" manifest lists no start block
         gen = tmp_path / "gen"
         assert run("generate", "--family", "curve", "--n", "16", "--seed", "3",
                    "--out", str(gen)) == 0
         manifest = load_report(gen / "manifest.json")
-        del manifest["conic"]
+        manifest["schema_version"] = "2"
+        del manifest["files"]["start"], manifest["phase"]
         (gen / "manifest.json").write_text(json.dumps(manifest))
         capsys.readouterr()
         assert run("reduce", str(gen), "--out", str(tmp_path / "red")) == 4
-        assert capsys.readouterr().err == "error: manifest is missing the 'conic' field\n"
+        assert capsys.readouterr().err == "error: manifest is missing the 'start' field\n"
+
+    def test_normal_companion_reduces(self, tmp_path):
+        # z^6 - 1: A is the cyclic shift, so A^H A - A A^H = 0
+        gen, red = tmp_path / "gen", tmp_path / "red"
+        assert run("generate", "--family", "companion", "--coeffs", "1,0,0,0,0,0,-1",
+                   "--out", str(gen)) == 0
+        assert run("reduce", str(gen), "--out", str(red)) == 0
+        report = load_report(red / "report.json")
+        assert report["block_sizes"] == [2, 2, 2]
+        assert report["residuals"] == {"unitarity": 0.0, "similarity": 0.0,
+                                       "off_profile": 0.0, "certificate": 0.0}
 
     # squares of entries at 1e+-160 over- and underflow; the norms rescale
     @pytest.mark.parametrize("scale", [1.0, 1e160, 1e-160])

@@ -6,6 +6,7 @@ from blocktrid import (
     DimensionError,
     LinearVarietyError,
     SolverFailure,
+    antihermitian_rescaling,
     arrow_hermitian_plus_rank_one,
     block_lanczos,
     chebyshev_colleague,
@@ -15,9 +16,13 @@ from blocktrid import (
     fourier_sum,
     fro,
     hermitian_part,
+    orthonormal_range,
     random_unitary_plus_rank_one,
     rotate_leading_form,
     solve_commutator_equation,
+    starting_block_curve,
+    starting_block_rank_one,
+    subspace_inclusion_residual,
 )
 
 
@@ -210,16 +215,8 @@ class TestCurveNormal:
         assert inst.certificate.residual <= 1e-10
 
     def test_parabola_reduction_shrinks_to_four(self):
-        from blocktrid import starting_block_curve
-
         inst = curve_normal_plus_rank_one(16, "parabola_arc", 3)
-        rot = rotate_leading_form(inst.conic)
-        phase = np.exp(1j * rot.theta)
-        A = phase * inst.matrix
-        Z = starting_block_curve(
-            A, phase * inst.perturbation_data["u"], inst.perturbation_data["v"], rot
-        )
-        red = block_lanczos(hermitian_part(A), Z)
+        red = block_lanczos(hermitian_part(inst.phase * inst.matrix), inst.start)
         assert red.block_sizes[0] <= 6
         assert all(w <= 4 for w in red.block_sizes[1:])
 
@@ -292,3 +289,80 @@ class TestCommutatorSolver:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
             solve_commutator_equation(np.zeros((3, 4)))
+
+
+def _solved(n, seed, c_kind):
+    C = np.zeros((n, n), dtype=complex)
+    if c_kind == "dependent":
+        C[0, 0] = 2.0
+    else:
+        C[0, 1] = 1.0
+    try:
+        return solve_commutator_equation(C, seed=seed)
+    except SolverFailure:
+        pytest.skip("commutator solver did not converge (heuristic)")
+
+
+def _family_rule(inst):
+    """Starting block and phase of a Hermitian, curve or solved instance,
+    derived from its ingredients by the paper's rule for its structure."""
+    A, data = inst.matrix, inst.perturbation_data
+    if inst.family in ("arrow_h1", "hermitian_h1"):
+        return np.column_stack([data["x"], data["y"]]), 1.0 + 0j
+    u, v = data["u"], data["v"]
+    if inst.family == "solved_commutator":
+        Z = starting_block_rank_one(A, u, v)
+        if Z.shape[1] == 1:
+            w = antihermitian_rescaling(u, v)
+            return Z, w / abs(w)
+        return Z, 1.0 + 0j
+    try:
+        rotated = rotate_leading_form(inst.conic)
+    except LinearVarietyError:
+        return np.column_stack([u, v]), 1.0 + 0j
+    phase = np.exp(1j * rotated.theta)
+    return starting_block_curve(phase * A, phase * u, v, rotated), phase
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: arrow_hermitian_plus_rank_one(24, 3), id="arrow"),
+    pytest.param(lambda: chebyshev_colleague(
+        np.concatenate([[1.0], np.random.default_rng(4).uniform(-1, 1, 24)])),
+        id="colleague"),
+    pytest.param(lambda: curve_normal_plus_rank_one(24, "circle", 1), id="circle"),
+    pytest.param(lambda: curve_normal_plus_rank_one(16, "line", 2), id="line"),
+    pytest.param(lambda: curve_normal_plus_rank_one(24, "parabola_arc", 3),
+                 id="parabola"),
+    pytest.param(lambda: _solved(6, 7, "independent"), id="solved-independent"),
+    pytest.param(lambda: _solved(4, 0, "dependent"), id="solved-dependent"),
+])
+def test_start_is_the_family_rule(build):
+    inst = build()
+    Z, phase = _family_rule(inst)
+    assert np.array_equal(inst.start, Z)
+    assert inst.phase == phase
+
+
+def _companion_of_degree(n, seed):
+    rng = np.random.default_rng(seed)
+    mod = rng.uniform(0.5, 1.0, n)
+    return companion(np.concatenate([[1.0], mod * np.exp(2j * np.pi * rng.uniform(size=n))]))
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda n: random_unitary_plus_rank_one(n, 2), id="unitary"),
+    pytest.param(lambda n: _companion_of_degree(n, 5), id="companion"),
+])
+def test_unitary_start_spans_commutator_range(build, n):
+    """[x, y, A^H x, A y] spans the commutator range and reduces A into the
+    same block sizes as the range's orthonormal basis."""
+    inst = build(n)
+    S, dim = orthonormal_range(commutator(inst.matrix))
+    S = S[:, : min(dim, 4)]
+    Z = orthonormal_range(inst.start)[0]
+    assert inst.phase == 1.0
+    assert subspace_inclusion_residual(Z, S) <= 1e-12
+    assert subspace_inclusion_residual(S, Z) <= 1e-12
+    H = hermitian_part(inst.matrix)
+    assert block_lanczos(H, inst.start).block_sizes == block_lanczos(H, S).block_sizes

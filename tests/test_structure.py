@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blocktrid import (
@@ -22,8 +22,6 @@ from blocktrid import (
     orthonormal_range,
     qr_iteration_tracked,
     random_unitary_plus_rank_one,
-    rotate_leading_form,
-    starting_block_curve,
     structure,
 )
 from blocktrid.cli import main
@@ -56,8 +54,8 @@ def reduced_random_companion(n, seed):
 
 
 def reduced_from_commutator_range(inst):
-    """An instance reduced from its commutator range, as ``blocktrid reduce``
-    does for the unitary and companion families."""
+    """An instance reduced from the orthonormal basis of its commutator range
+    (at most 4 columns), the block the paper's bound is stated for."""
     Z, dim = orthonormal_range(commutator(inst.matrix))
     U = block_lanczos(hermitian_part(inst.matrix), Z[:, : min(dim, 4)]).basis
     A_trid = U.conj().T @ inst.matrix @ U
@@ -511,30 +509,12 @@ class TestQrIterationTracked:
         )
 
 
-def scaled_decisions(family, seed, scale):
-    """Every rank and size decision on an n = 48 instance with A and C scaled
-    by ``scale``: the reduction reads its starting block off the scaled
-    matrix by the rules of ``blocktrid reduce``."""
-    n = 48
-    if family == "arrow":
-        inst = arrow_hermitian_plus_rank_one(n, seed)
-    elif family == "unitary":
-        inst = random_unitary_plus_rank_one(n, seed)
-    else:
-        inst = curve_normal_plus_rank_one(n, "circle", seed)
+def scaled_decisions(inst, scale):
+    """Every rank and size decision on an instance with A and C scaled by
+    ``scale``: the reduction starts from the instance's own block and phase,
+    as ``blocktrid reduce`` does."""
     A, C = scale * inst.matrix, scale * inst.perturbation_data["C"]
-    phase = 1.0
-    if family == "arrow":
-        Z = np.column_stack([inst.perturbation_data[k] for k in ("x", "y")])
-    elif family == "unitary":
-        Z, dim = orthonormal_range(commutator(A))
-        Z = Z[:, : min(dim, 4)]
-    else:
-        conic = rotate_leading_form(inst.conic)
-        phase = np.exp(1j * conic.theta)
-        u, v = inst.perturbation_data["u"], inst.perturbation_data["v"]
-        Z = starting_block_curve(phase * A, phase * u, v, conic)
-    red = block_lanczos(hermitian_part(phase * A), Z)
+    red = block_lanczos(hermitian_part(inst.phase * A), inst.start)
     U = red.basis
     A_trid, C_trid = U.conj().T @ A @ U, U.conj().T @ C @ U
     cert = certify(A, C, 2)
@@ -549,15 +529,25 @@ def scaled_decisions(family, seed, scale):
     return decisions, np.array([rec.rank_margin for rec in rep.iterations], dtype=float)
 
 
-@pytest.mark.parametrize("family", ["arrow", "unitary", "circle"])
-def test_decisions_are_scale_invariant(family):
-    """Scaling A and C together by 1e8 or 1e-8 changes no block size, no
-    certificate verdict and no per-step QR rank or converged count, and
-    moves no rank margin by more than 1e-2 of the cutoff (singular values
-    agreeing to 1e-12 ||A||_F)."""
-    for seed in range(10):
-        reference, margins = scaled_decisions(family, seed, 1.0)
-        for scale in (1e8, 1e-8):
-            decisions, scaled_margins = scaled_decisions(family, seed, scale)
-            assert decisions == reference
-            np.testing.assert_allclose(scaled_margins, margins, rtol=1e-8, atol=1e-2)
+_SCALED_FAMILIES = {
+    "arrow": arrow_hermitian_plus_rank_one,
+    "unitary": random_unitary_plus_rank_one,
+    "circle": lambda n, seed: curve_normal_plus_rank_one(n, "circle", seed),
+}
+
+
+@pytest.mark.parametrize("family", list(_SCALED_FAMILIES))
+@given(seed=st.integers(0, 2**32 - 1), exponent=st.floats(-8.0, 8.0))
+@example(seed=0, exponent=8.0)
+@example(seed=0, exponent=-8.0)
+@settings(max_examples=15, deadline=None)
+def test_decisions_are_scale_invariant(family, seed, exponent):
+    """Scaling an n = 48 instance's A and C together by 10^exponent changes
+    no block size, no certificate verdict and no per-step QR rank or
+    converged count, and moves no rank margin by more than 1e-2 of the
+    cutoff (singular values agreeing to 1e-12 ||A||_F)."""
+    inst = _SCALED_FAMILIES[family](48, seed)
+    reference, margins = scaled_decisions(inst, 1.0)
+    decisions, scaled_margins = scaled_decisions(inst, 10.0**exponent)
+    assert decisions == reference
+    np.testing.assert_allclose(scaled_margins, margins, rtol=1e-8, atol=1e-2)
