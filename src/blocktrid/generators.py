@@ -27,7 +27,7 @@ from .almostnormal import (
     starting_block_rank_one,
 )
 from .errors import GenerationError, LinearVarietyError, SingularityError, SolverFailure
-from .matcore import as_square, commutator, fro, svd
+from .matcore import as_square, commutator, fro, orthonormal_range, svd
 from .structure import _envelope_mask
 
 FAMILIES = (
@@ -57,7 +57,7 @@ class GeneratedInstance:
     structural definition (for example ``x``, ``y`` and the Hermitian part for
     a Hermitian-plus-rank-one instance), so the matrix can be rebuilt exactly.
 
-    ``start`` (n x l) and the unit ``phase`` are the family's reduction:
+    ``start`` (n x l, l <= n) and the unit ``phase`` are the family's reduction:
     ``block_lanczos(hermitian_part(phase * matrix), start)`` block
     tridiagonalizes ``matrix`` within the family's block bound.  ``start`` is
     None only for the zero-perturbation :func:`solve_commutator_equation`.
@@ -94,11 +94,16 @@ def _haar_unitary(rng, n: int) -> np.ndarray:
     return Q * (d / np.abs(d))
 
 
+def _fit_start(Z) -> np.ndarray:
+    """Z, or the orthonormal basis of range(Z) if Z has more columns than rows."""
+    return Z if Z.shape[1] <= Z.shape[0] else orthonormal_range(Z)[0]
+
+
 def _unitary_start(A, x, y) -> np.ndarray:
     """[x, y, A^H x, A y] for A = U + x y^H, U unitary: since U^H x = A^H x -
     y ||x||^2 and U y = A y - x ||y||^2, it spans {x, y, U^H x, U y}, which
     contains range(A^H A - A A^H).  O(n^2), without forming A^H."""
-    return np.column_stack([x, y, (x.conj() @ A).conj(), A @ y])
+    return _fit_start(np.column_stack([x, y, (x.conj() @ A).conj(), A @ y]))
 
 
 def arrow_hermitian_plus_rank_one(n: int, seed: int) -> GeneratedInstance:
@@ -267,7 +272,7 @@ def curve_normal_plus_rank_one(n: int, curve: str, seed: int) -> GeneratedInstan
         start, phase = np.column_stack([u, v]), 1.0 + 0j
     else:
         phase = np.exp(1j * rotated.theta)
-        start = starting_block_curve(phase * A, phase * u, v, rotated)
+        start = _fit_start(starting_block_curve(phase * A, phase * u, v, rotated))
     return GeneratedInstance(
         matrix=A,
         family="curve_normal_h1",

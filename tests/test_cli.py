@@ -37,21 +37,21 @@ class TestGenerate:
         assert (out / manifest["files"]["perturbation"]).exists()
         assert manifest["certificate"]["residual"] <= 1e-10
 
-    @pytest.mark.parametrize("family, extra", [
-        ("arrow", ()),
-        ("unitary", ()),
-        ("companion", ("--coeffs", "1,0.3,0,0.2,1,0,0,0.5,1.2")),
-        ("colleague", ("--coeffs", "1,0.3,0,0.2,1,0,0,0.5,1.2")),
-        ("curve", ("--curve", "parabola-arc")),
-        ("fourier-sum", ()),
+    @pytest.mark.parametrize("family, extra, width", [
+        ("arrow", (), 2),
+        ("unitary", (), 4),
+        ("companion", ("--coeffs", "1,0.3,0,0.2,1,0,0,0.5,1.2"), 4),
+        ("colleague", ("--coeffs", "1,0.3,0,0.2,1,0,0,0.5,1.2"), 2),
+        ("curve", ("--curve", "parabola-arc"), 6),
     ])
-    def test_every_family_writes_start_and_phase(self, tmp_path, family, extra):
+    def test_every_family_writes_start_and_phase(self, tmp_path, family, extra, width):
         out = tmp_path / "gen"
         assert run("generate", "--family", family, "--n", "16", "--seed", "3",
                    *extra, "--out", str(out)) == 0
         manifest = load_report(out / "manifest.json")
+        assert (out / manifest["files"]["matrix"]).exists()
         assert manifest["files"]["start"] == "Z.mtx"
-        assert read_matrix(out / "Z.mtx").shape[0] == manifest["n"]
+        assert read_matrix(out / "Z.mtx").shape == (manifest["n"], width)
         re, im = manifest["phase"]
         assert abs(complex(re, im)) == pytest.approx(1.0, abs=1e-15)
 
@@ -279,6 +279,24 @@ class TestReduce:
         assert report["block_sizes"] == [2, 2, 2]
         assert report["residuals"] == {"unitarity": 0.0, "similarity": 0.0,
                                        "off_profile": 0.0, "certificate": 0.0}
+
+    @pytest.mark.parametrize("family", [
+        ("unitary", "--n", "2"),
+        ("unitary", "--n", "3"),
+        ("companion", "--coeffs", "1,0.5,0.3"),
+        ("companion", "--coeffs", "1,0.5,0.3,0.2"),
+        ("curve", "--curve", "circle", "--n", "4"),
+        ("curve", "--curve", "parabola-arc", "--n", "4"),
+        ("curve", "--curve", "parabola-arc", "--n", "5"),
+    ])
+    def test_smallest_sizes_reduce(self, tmp_path, family):
+        # the family's block has more columns than n here; Z.mtx holds its range
+        gen, red = tmp_path / "gen", tmp_path / "red"
+        name, *extra = family
+        assert run("generate", "--family", name, *extra, "--out", str(gen)) == 0
+        assert run("reduce", str(gen), "--out", str(red)) == 0
+        report = load_report(red / "report.json")
+        assert sum(report["block_sizes"]) == load_report(gen / "manifest.json")["n"]
 
     # squares of entries at 1e+-160 over- and underflow; the norms rescale
     @pytest.mark.parametrize("scale", [1.0, 1e160, 1e-160])

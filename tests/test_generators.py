@@ -366,3 +366,36 @@ def test_unitary_start_spans_commutator_range(build, n):
     assert subspace_inclusion_residual(S, Z) <= 1e-12
     H = hermitian_part(inst.matrix)
     assert block_lanczos(H, inst.start).block_sizes == block_lanczos(H, S).block_sizes
+
+
+@pytest.mark.parametrize("build, rule", [
+    pytest.param(lambda: random_unitary_plus_rank_one(2, 0), "commutator", id="unitary-2"),
+    pytest.param(lambda: random_unitary_plus_rank_one(3, 1), "commutator", id="unitary-3"),
+    pytest.param(lambda: companion([1, 0.5, 0.3]), "commutator", id="companion-2"),
+    pytest.param(lambda: companion([1, 0.5, 0.3, 0.2]), "commutator", id="companion-3"),
+    pytest.param(lambda: curve_normal_plus_rank_one(4, "circle", 0), "curve", id="circle-4"),
+    pytest.param(lambda: curve_normal_plus_rank_one(4, "parabola_arc", 0), "curve",
+                 id="parabola-4"),
+    pytest.param(lambda: curve_normal_plus_rank_one(5, "parabola_arc", 1), "curve",
+                 id="parabola-5"),
+])
+def test_start_wider_than_n_is_its_range(build, rule):
+    """Below n = 4 (unitary, companion) or 6 (curve) the family's block has
+    more columns than rows; the instance stores the orthonormal basis of its
+    range instead, which block_lanczos accepts."""
+    inst = build()
+    n = inst.matrix.shape[0]
+    assert inst.start.shape[1] <= n
+    if rule == "commutator":
+        S, dim = orthonormal_range(commutator(inst.matrix))
+        S = S[:, : min(dim, 4)]
+        rule_block = np.column_stack([inst.perturbation_data[k] for k in ("x", "y")]
+                                     + [inst.matrix.conj().T @ inst.perturbation_data["x"],
+                                        inst.matrix @ inst.perturbation_data["y"]])
+    else:
+        S = rule_block = _family_rule(inst)[0]
+    assert subspace_inclusion_residual(inst.start, rule_block) <= 1e-12
+    assert subspace_inclusion_residual(rule_block, inst.start) <= 1e-12
+    assert subspace_inclusion_residual(S, inst.start) <= 1e-12
+    red = block_lanczos(hermitian_part(inst.phase * inst.matrix), inst.start)
+    assert sum(red.block_sizes) == n

@@ -538,16 +538,16 @@ _SCALED_FAMILIES = {
 
 @pytest.mark.parametrize("family", list(_SCALED_FAMILIES))
 @given(seed=st.integers(0, 2**32 - 1), exponent=st.floats(-8.0, 8.0))
-@example(seed=0, exponent=8.0)
-@example(seed=0, exponent=-8.0)
-@settings(max_examples=15, deadline=None)
+@example(seed=0, exponent=0.5)
+@settings(max_examples=10, deadline=None)
 def test_decisions_are_scale_invariant(family, seed, exponent):
-    """Scaling an n = 48 instance's A and C together by 10^exponent changes
-    no block size, no certificate verdict and no per-step QR rank or
-    converged count, and moves no rank margin by more than 1e-2 of the
-    cutoff (singular values agreeing to 1e-12 ||A||_F)."""
+    """Scaling an n = 48 instance's A and C together by 1e8, 1e-8 or
+    10^exponent changes no block size, no certificate verdict and no
+    per-step QR rank or converged count, and moves no rank margin by more
+    than 1e-2 of the cutoff (singular values agreeing to 1e-12 ||A||_F)."""
     inst = _SCALED_FAMILIES[family](48, seed)
     reference, margins = scaled_decisions(inst, 1.0)
-    decisions, scaled_margins = scaled_decisions(inst, 10.0**exponent)
-    assert decisions == reference
-    np.testing.assert_allclose(scaled_margins, margins, rtol=1e-8, atol=1e-2)
+    for scale in (1e8, 1e-8, 10.0**exponent):
+        decisions, scaled_margins = scaled_decisions(inst, scale)
+        assert decisions == reference
+        np.testing.assert_allclose(scaled_margins, margins, rtol=1e-8, atol=1e-2)
