@@ -54,7 +54,7 @@ from .almostnormal import starting_block_curve, starting_block_rank_one  # noqa:
 from .matcore import commutator, orthonormal_range  # noqa: F401
 from .mmio import read_vector  # noqa: F401
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 _STDOUT_JSON_OPTIONS = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
 _JSON_OPTIONS = _STDOUT_JSON_OPTIONS | orjson.OPT_INDENT_2
 
@@ -333,9 +333,9 @@ def cmd_qr_track(args, argv) -> int:
         report = qr_iteration_tracked(A, C, args.steps, tol=args.tol)
     except ContractError as exc:
         raise ContractError(f"{exc}; run `blocktrid reduce` to produce one") from exc
-    ok = all(
+    ok = report.c_residual <= args.tol and all(
         all(r <= 2 for r in rec.off_profile_block_ranks)
-        and rec.c_residual <= args.tol
+        and rec.c_residual_estimate <= args.tol
         for rec in report.iterations
     )
     payload = {
@@ -351,12 +351,13 @@ def cmd_qr_track(args, argv) -> int:
                 "shift": _cplx(rec.shift),
                 "off_profile_block_ranks": list(rec.off_profile_block_ranks),
                 "rank_margin": list(rec.rank_margin),
-                "c_residual": rec.c_residual,
+                "c_residual_estimate": rec.c_residual_estimate,
                 "profile_growth": rec.profile_growth,
             }
             for rec in report.iterations
         ],
         "converged_eigenvalues": [_cplx(z) for z in report.converged_eigenvalues],
+        "c_residual": report.c_residual,
         "within_rank_bound": ok,
     }
     if args.out:

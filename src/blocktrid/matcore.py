@@ -168,9 +168,36 @@ def _ranked_svd(M, tol: float, full_matrices: bool = True):
 
 
 #: Columns of the fixed Gaussian sketch with which :func:`_count_above`
-#: tries to decide a count before it computes a full spectrum.
+#: tries to decide a count before it computes a full spectrum, and with which
+#: the QR tracker estimates each step's commutator residual.
 SKETCH_COLUMNS = 8
 _SKETCH_SEED = 0x5CE7C8
+
+
+def _sketch(rows: int) -> np.ndarray:
+    """The package's one sketch: a fixed-seed rows x ``SKETCH_COLUMNS``
+    complex Gaussian block with standard normal real and imaginary parts,
+    so E|g|^2 = 2."""
+    rng = np.random.default_rng(_SKETCH_SEED)
+    return rng.standard_normal((rows, 2 * SKETCH_COLUMNS)).view(np.complex128)
+
+
+def _estimated_commutator_residual(A, C) -> float:
+    """``||M G||_F / sqrt(2 s) / ||A||_F^2`` with M = commutator(A, C) and G
+    the n x s :func:`_sketch`, for validated row-major A and C.
+
+    As E||M G||_F^2 = 2 s ||M||_F^2, this estimates the relative residual
+    ||M||_F / ||A||_F^2 of a nonzero A in O(n^2 s) work:
+    M G = A^H (A G) - C (A G) - A (A^H G - C G) takes six products of n x n
+    by n x s, each adjoint product as (X^H A)^H so that A^H is never copied.
+    """
+    G = _sketch(A.shape[0])
+    s = G.shape[1]
+    W = np.hstack((A @ G, G))
+    AhW = (W.conj().T @ A).conj().T
+    CW = C @ W
+    MG = AhW[:, :s] - CW[:, :s] - A @ (AhW[:, s:] - CW[:, s:])
+    return fro(MG) / np.sqrt(2 * s) / fro(A) ** 2
 
 
 def _count_above(M, tol: float, scale=None, hermitian: bool = False) -> int:
@@ -195,9 +222,7 @@ def _count_above(M, tol: float, scale=None, hermitian: bool = False) -> int:
     if norm == 0.0:
         return 0
     if min(M.shape) > SKETCH_COLUMNS and 1e-250 < norm < 1e250:
-        rng = np.random.default_rng(_SKETCH_SEED)
-        G = rng.standard_normal((M.shape[1], 2 * SKETCH_COLUMNS)).view(np.complex128)
-        Q = np.linalg.qr(M @ G)[0]
+        Q = np.linalg.qr(M @ _sketch(M.shape[1]))[0]
         B = Q.conj().T @ M
         eps = np.finfo(np.float64).eps
         e = fro(M - Q @ B) + 64 * eps * np.sqrt(max(M.shape)) * norm

@@ -9,7 +9,7 @@ import numpy as np
 import orjson
 import pytest
 
-from blocktrid.almostnormal import CommutatorCertificate, certify
+from blocktrid.almostnormal import CommutatorCertificate, certify, commutator_residual
 from blocktrid import cli, mmio
 from blocktrid.cli import main
 from blocktrid.mmio import read_matrix, write_matrix
@@ -32,7 +32,7 @@ class TestGenerate:
         assert run("generate", "--family", "companion",
                    "--coeffs", "1,0,0,0,1", "--out", str(out)) == 0
         manifest = load_report(out / "manifest.json")
-        assert manifest["schema_version"] == "3"
+        assert manifest["schema_version"] == "4"
         assert (out / manifest["files"]["matrix"]).exists()
         assert (out / manifest["files"]["perturbation"]).exists()
         assert manifest["certificate"]["residual"] <= 1e-10
@@ -450,10 +450,11 @@ class TestQrTrack:
         assert payload["within_rank_bound"]
         for rec in payload["iterations"]:
             assert all(r <= 2 for r in rec["off_profile_block_ranks"])
-            assert rec["c_residual"] <= 1e-8
+            assert rec["c_residual_estimate"] <= 1e-8
             dropped, kept = rec["rank_margin"]
             assert dropped is None or dropped <= 1.0
             assert kept is None or kept > 1.0
+        assert payload["c_residual"] <= 1e-8
 
     def test_circle_instance_keeps_rank_bound(self, tmp_path):
         gen, red = tmp_path / "gen", tmp_path / "red"
@@ -482,7 +483,26 @@ class TestQrTrack:
         assert payload["initial_block_sizes"] == [1] * 16
         assert not payload["within_rank_bound"]
         assert max(payload["iterations"][-1]["off_profile_block_ranks"]) >= 3
-        assert all(rec["c_residual"] <= 1e-10 for rec in payload["iterations"])
+        assert all(rec["c_residual_estimate"] <= 1e-10 for rec in payload["iterations"])
+        assert payload["c_residual"] <= 1e-10
+
+    @pytest.mark.parametrize("A, steps", [
+        (crandn(np.random.default_rng(4), 4, 4), "0"),
+        (np.triu(crandn(np.random.default_rng(8), 8, 8)), "30"),
+    ], ids=["no-steps", "deflated-before-step-1"])
+    def test_relation_checked_when_no_step_runs(self, tmp_path, A, steps):
+        """With C = 0 a matrix that is not normal breaks the relation.  No
+        step runs on a dense 4 x 4 with --steps 0, nor on an upper triangular
+        8 x 8, which deflates fully before step 1; the exact residual of the
+        final pair still decides the exit."""
+        a, c, out = tmp_path / "A.mtx", tmp_path / "C.mtx", tmp_path / "track.json"
+        write_matrix(a, A)
+        write_matrix(c, np.zeros_like(A))
+        assert run("qr-track", str(a), str(c), "--steps", steps, "--out", str(out)) == 2
+        payload = load_report(out)
+        assert payload["iterations"] == []
+        assert not payload["within_rank_bound"]
+        assert payload["c_residual"] == commutator_residual(A, np.zeros_like(A)) > 1e-8
 
     def test_dense_input_names_reduce(self, tmp_path, capsys):
         rng = np.random.default_rng(1)

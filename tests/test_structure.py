@@ -25,7 +25,8 @@ from blocktrid import (
     structure,
 )
 from blocktrid.cli import main
-from blocktrid.mmio import read_matrix
+from blocktrid.matcore import _estimated_commutator_residual
+from blocktrid.mmio import read_matrix, write_matrix
 
 from helpers import crandn, planted_tridiagonal
 
@@ -89,23 +90,16 @@ def maximal_ranks(A, sizes, cut):
     )
 
 
-def tracked_against_direct_ranks(A, C, monkeypatch):
+def tracked_against_direct_ranks(A, C):
     """30 tracked steps; at steps 1, 10 and 30 the sweep's ranks must be those
-    of direct SVDs of the maximal submatrices of that step's iterate, which
-    is seen where the tracker takes its commutator residual."""
-    iterates = []
-    residual = structure.commutator
-
-    def record(A, C):
-        iterates.append(A.copy())
-        return residual(A, C)
-
-    monkeypatch.setattr(structure, "commutator", record)
+    of direct SVDs of the maximal submatrices of that step's iterate, the
+    final matrix of a run of that many steps."""
     rep = qr_iteration_tracked(A, C, 30)
-    assert len(rep.iterations) == len(iterates) == 30
+    assert len(rep.iterations) == 30
     for step in (1, 10, 30):
+        iterate = qr_iteration_tracked(A, C, step).final_matrix
         assert rep.iterations[step - 1].off_profile_block_ranks == maximal_ranks(
-            iterates[step - 1], rep.initial_profile.block_sizes, 1e-10 * fro(A)
+            iterate, rep.initial_profile.block_sizes, 1e-10 * fro(A)
         )
     return rep
 
@@ -296,7 +290,8 @@ class TestQrIterationTracked:
             all(r == 0 for r in rec.off_profile_block_ranks)
             for rec in rep.iterations
         )
-        assert all(rec.c_residual <= 1e-10 for rec in rep.iterations)
+        assert all(rec.c_residual_estimate <= 1e-10 for rec in rep.iterations)
+        assert rep.c_residual <= 1e-10
 
     def test_deflated_eigenvalues_match_reference(self):
         n = 10
@@ -317,7 +312,8 @@ class TestQrIterationTracked:
         assert len(rep.iterations) == 30
         for rec in rep.iterations:
             assert max(rec.off_profile_block_ranks) <= 2
-            assert rec.c_residual <= 1e-9
+            assert rec.c_residual_estimate <= 1e-9
+        assert rep.c_residual <= 1e-9
 
     def test_hermitian_rank_one_perturbation_residual(self):
         inst = arrow_hermitian_plus_rank_one(32, 2)
@@ -329,7 +325,8 @@ class TestQrIterationTracked:
         A_trid = U.conj().T @ inst.matrix @ U
         C_trid = U.conj().T @ inst.perturbation_data["C"] @ U
         rep = qr_iteration_tracked(A_trid, C_trid, 20, tol=1e-9)
-        assert all(rec.c_residual <= 1e-9 for rec in rep.iterations)
+        assert all(rec.c_residual_estimate <= 1e-9 for rec in rep.iterations)
+        assert rep.c_residual <= 1e-9
 
     def test_spectrum_preserved(self):
         A_trid, C_trid = reduced_companion(n=16, seed=3)
@@ -351,33 +348,36 @@ class TestQrIterationTracked:
         "n, seed",
         [(128, 0), (128, 1), (128, 2), (128, 3), (256, 0), (256, 1), (256, 2)],
     )
-    def test_unitary_rank_bound_at_scale(self, n, seed, monkeypatch):
+    def test_unitary_rank_bound_at_scale(self, n, seed):
         A_trid, C_trid = reduced_unitary(n, seed)
-        rep = tracked_against_direct_ranks(A_trid, C_trid, monkeypatch)
+        rep = tracked_against_direct_ranks(A_trid, C_trid)
         for rec in rep.iterations:
             assert max(rec.off_profile_block_ranks) <= 2
-            assert rec.c_residual <= 1e-10
+            assert rec.c_residual_estimate <= 1e-10
+        assert rep.c_residual <= 1e-10
         assert 0.0 < rep.discarded_norm <= 1e-10 * fro(A_trid)
 
     @pytest.mark.parametrize("n, seed", [(128, 0), (128, 1), (256, 0)])
-    def test_companion_rank_bound_at_scale(self, n, seed, monkeypatch):
+    def test_companion_rank_bound_at_scale(self, n, seed):
         A_trid, C_trid = reduced_random_companion(n, seed)
-        rep = tracked_against_direct_ranks(A_trid, C_trid, monkeypatch)
+        rep = tracked_against_direct_ranks(A_trid, C_trid)
         for rec in rep.iterations:
             assert max(rec.off_profile_block_ranks) <= 2
-            assert rec.c_residual <= 1e-10
+            assert rec.c_residual_estimate <= 1e-10
+        assert rep.c_residual <= 1e-10
         assert 0.0 < rep.discarded_norm <= 1e-10 * fro(A_trid)
 
     @pytest.mark.parametrize("n", [128, 256])
-    def test_circle_rank_bound_at_scale(self, n, tmp_path, monkeypatch):
+    def test_circle_rank_bound_at_scale(self, n, tmp_path):
         A_trid, C_trid = reduced_by_cli(
             tmp_path, "--family", "curve", "--curve", "circle", "--n", str(n),
             "--seed", "0",
         )
-        rep = tracked_against_direct_ranks(A_trid, C_trid, monkeypatch)
+        rep = tracked_against_direct_ranks(A_trid, C_trid)
         for rec in rep.iterations:
             assert max(rec.off_profile_block_ranks) <= 2
-            assert rec.c_residual <= 1e-10
+            assert rec.c_residual_estimate <= 1e-10
+        assert rep.c_residual <= 1e-10
 
     def test_banded_step_matches_dense_step(self, banded_instance, monkeypatch):
         A, C = banded_instance
@@ -394,7 +394,8 @@ class TestQrIterationTracked:
             rep.converged_eigenvalues, ref.converged_eigenvalues,
             rtol=0, atol=1e-12 * fro(A),
         )
-        assert all(rec.c_residual <= 1e-10 for rec in rep.iterations)
+        assert all(rec.c_residual_estimate <= 1e-10 for rec in rep.iterations)
+        assert rep.c_residual <= 1e-10
 
     def test_active_window_exactly_zero_below_band(self, banded_instance):
         A, C = banded_instance
@@ -442,7 +443,8 @@ class TestQrIterationTracked:
         ranks = rep.iterations[-1].off_profile_block_ranks
         assert max(ranks) >= 3
         assert ranks == maximal_ranks(rep.final_matrix, (1,) * 16, 1e-10 * fro(A))
-        assert all(rec.c_residual <= 1e-10 for rec in rep.iterations)
+        assert all(rec.c_residual_estimate <= 1e-10 for rec in rep.iterations)
+        assert rep.c_residual <= 1e-10
 
     @given(
         sizes=st.lists(st.integers(1, 4), min_size=1, max_size=16).filter(
@@ -504,9 +506,86 @@ class TestQrIterationTracked:
     def test_step_residual_is_the_certificate_residual(self):
         A_trid, C_trid = reduced_companion()
         rep = qr_iteration_tracked(A_trid, C_trid, 5)
-        assert rep.iterations[-1].c_residual == commutator_residual(
+        assert rep.c_residual == commutator_residual(
             rep.final_matrix, rep.final_perturbation
         )
+
+
+def with_rank_one_defect(A, C, residual, seed=5):
+    """C plus a rank-one E scaled so that the pair's commutator residual,
+    ||commutator(A, C + E)||_F / ||A||_F^2 = ||(A^H - C) A - A (A^H - C)
+    + A E - E A||_F / ||A||_F^2, is ``residual`` when that of (A, C) is
+    roundoff.  A unitary similarity keeps it, so every QR step sees it."""
+    rng = np.random.default_rng(seed)
+    n = A.shape[0]
+    E = np.outer(crandn(rng, n), crandn(rng, n).conj())
+    return C + residual * fro(A) ** 2 / fro(A @ E - E @ A) * E
+
+
+class TestResidualProbe:
+    """Each tracked step's ``c_residual_estimate`` against the exact residual
+    of the same pair, which ``rep.c_residual`` gives for the final pair."""
+
+    @pytest.mark.parametrize("instance", [
+        lambda: reduced_unitary(256, 1),
+        lambda: reduced_from_commutator_range(arrow_hermitian_plus_rank_one(128, 1)),
+        lambda: reduced_random_companion(64, 1),
+    ], ids=["unitary-256", "arrow-128", "companion-64"])
+    def test_estimate_within_factor_two_of_exact(self, instance):
+        A, C = instance()
+        for k in range(1, 13):
+            rep = qr_iteration_tracked(A, C, k)
+            assert len(rep.iterations) == k
+            assert 0.5 <= rep.iterations[-1].c_residual_estimate / rep.c_residual <= 2
+
+    def test_planted_defect_trips_every_step(self, tmp_path):
+        """A rank-one change to C at 10 tol leaves A's iterates and their
+        ranks as they are, yet every step's estimate exceeds tol."""
+        A, C = reduced_unitary(64, 1)
+        C = with_rank_one_defect(A, C, 1e-7)
+        rep = qr_iteration_tracked(A, C, 10)
+        assert len(rep.iterations) == 10
+        assert all(max(rec.off_profile_block_ranks) <= 2 for rec in rep.iterations)
+        assert all(rec.c_residual_estimate > 1e-8 for rec in rep.iterations)
+        assert rep.c_residual > 1e-8
+        a, c, out = tmp_path / "A.mtx", tmp_path / "C.mtx", tmp_path / "track.json"
+        write_matrix(a, A)
+        write_matrix(c, C)
+        assert main(["qr-track", str(a), str(c), "--steps", "10", "--out", str(out)]) == 2
+
+    def test_reports_are_byte_identical(self, tmp_path):
+        A, C = reduced_unitary(64, 1)
+        a, c, out = tmp_path / "A.mtx", tmp_path / "C.mtx", tmp_path / "track.json"
+        write_matrix(a, A)
+        write_matrix(c, C)
+        reports = []
+        for _ in range(2):
+            assert main(["qr-track", str(a), str(c), "--steps", "10", "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("family", ["tridiagonal-16", "unitary-64-defect"])
+    def test_estimate_is_scale_invariant(self, family):
+        """Scaling each step's pair by 1e8 or 1e-8 leaves its estimate, the
+        one the tracker recorded, unchanged to a relative 1e-12.  The pairs
+        carry a relation defect well above roundoff, which the rounding of
+        the scaled entries would otherwise dominate."""
+        if family == "tridiagonal-16":
+            A = planted_tridiagonal(16)
+            C = np.zeros_like(A)
+        else:
+            A, C = reduced_unitary(64, 1)
+            C = with_rank_one_defect(A, C, 1e-1)
+        for k in range(1, 11):
+            rep = qr_iteration_tracked(A, C, k)
+            Ak, Ck = rep.final_matrix, rep.final_perturbation
+            estimate = rep.iterations[-1].c_residual_estimate
+            assert estimate == _estimated_commutator_residual(Ak, Ck)
+            for scale in (1e8, 1e-8):
+                np.testing.assert_allclose(
+                    _estimated_commutator_residual(scale * Ak, scale * Ck),
+                    estimate, rtol=1e-12, atol=0,
+                )
 
 
 def scaled_decisions(inst, scale):
