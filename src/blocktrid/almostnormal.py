@@ -164,9 +164,9 @@ def starting_block_rank_one(A, u, v, tol: float = 1e-8) -> np.ndarray:
 
     Returns [u, v] when u and v are linearly independent (smallest singular
     value of the column-normalized pair above ``tol``), otherwise the single
-    column [u].  Feeding the block to ``block_lanczos`` on the Hermitian part
-    keeps the blocks at size at most 2 (scalar tridiagonal in the dependent
-    case).
+    column [u].  Feeding the block to ``block_lanczos`` keeps the blocks at
+    size at most 2 (scalar tridiagonal in the dependent case) on the
+    instances the reduction theorem covers.
     """
     as_matrix(A, "A")
     u = as_vector(u, "u")

@@ -4,14 +4,15 @@ Subcommands chain into reproducible file-based pipelines::
 
     blocktrid generate --family companion --coeffs 1,0,0,0,1 --out work/
     blocktrid reduce work/ --out red/
-    blocktrid spy red/T.mtx
+    blocktrid spy red/A_trid.mtx
     blocktrid qr-track red/A_trid.mtx red/C_trid.mtx --steps 30 --out track.json
     blocktrid verify work/A.mtx work/C.mtx --k 2
 
 ``generate`` writes each instance with its family's starting block
-(``Z.mtx``) and records the reduction phase in the manifest; ``reduce``
-Lanczos-reduces the Hermitian part of ``phase * A`` from that block, the
-same path for every family, so it holds no family rules.
+(``Z.mtx``); ``reduce`` block-Lanczos-reduces A from that block, applying A
+and A^H to each block, the same path for every family, so it holds no family
+rules.  A block wider than the one before it means the instance lacks the
+structure behind the family's block bound, and ``reduce`` exits 2.
 
 Exit codes: 0 success, 2 verification failure, 3 I/O error, 4 contract
 violation or numerical failure (a solver or SVD that does not converge).
@@ -44,7 +45,7 @@ from .generators import (
     solve_commutator_equation,
 )
 from .lanczos import block_lanczos
-from .matcore import fro, hermitian_part
+from .matcore import fro
 from .mmio import MatrixMarketError, read_matrix, write_matrix, write_vector
 from .structure import off_profile_residual, qr_iteration_tracked
 
@@ -54,7 +55,7 @@ from .almostnormal import starting_block_curve, starting_block_rank_one  # noqa:
 from .matcore import commutator, orthonormal_range  # noqa: F401
 from .mmio import read_vector  # noqa: F401
 
-SCHEMA_VERSION = "4"
+SCHEMA_VERSION = "5"
 _STDOUT_JSON_OPTIONS = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
 _JSON_OPTIONS = _STDOUT_JSON_OPTIONS | orjson.OPT_INDENT_2
 
@@ -132,14 +133,9 @@ def _parse_coeffs(text: str) -> list[complex]:
 
 
 def cmd_generate(args, argv) -> int:
-    if args.family == "fourier-sum":
-        matrix, Z = fourier_sum(args.n, args.seed)
-        inst, params, phase = None, {}, 1.0
-    else:
-        inst, params = _build_instance(args)
-        if inst.start is None:
-            raise ContractError("C vanishes, so the instance has no starting block")
-        matrix, Z, phase = inst.matrix, inst.start, inst.phase
+    inst, params = _build_instance(args)
+    if inst.start is None:
+        raise ContractError("C vanishes, so the instance has no starting block")
     out = args.out
     files: dict[str, str] = {}
     writes = []
@@ -149,26 +145,24 @@ def cmd_generate(args, argv) -> int:
         "seed": args.seed,
         "tool_version": __version__,
         "params": params,
-        "n": int(matrix.shape[0]),
-        "phase": _cplx(phase),
+        "n": int(inst.matrix.shape[0]),
     }
 
     def save(role, name, data, vector=False):
         writes.append((os.path.join(out, name), data, vector))
         files[role] = name
 
-    save("matrix", "H.mtx" if inst is None else "A.mtx", matrix)
-    save("start", "Z.mtx", Z)
-    if inst is not None:
-        for role in ("x", "y", "u", "v"):
-            if role in inst.perturbation_data:
-                save(role, f"{role}.mtx", inst.perturbation_data[role], vector=True)
-        if "C" in inst.perturbation_data:
-            save("perturbation", "C.mtx", inst.perturbation_data["C"])
-        manifest["certificate"] = _cert_to_json(inst.certificate)
-        manifest["instance_family"] = inst.family
-        if inst.conic is not None:
-            manifest["conic"] = _conic_to_json(inst.conic)
+    save("matrix", "H.mtx" if args.family == "fourier-sum" else "A.mtx", inst.matrix)
+    save("start", "Z.mtx", inst.start)
+    for role in ("x", "y", "u", "v"):
+        if role in inst.perturbation_data:
+            save(role, f"{role}.mtx", inst.perturbation_data[role], vector=True)
+    if "C" in inst.perturbation_data:
+        save("perturbation", "C.mtx", inst.perturbation_data["C"])
+    manifest["certificate"] = _cert_to_json(inst.certificate)
+    manifest["instance_family"] = inst.family
+    if inst.conic is not None:
+        manifest["conic"] = _conic_to_json(inst.conic)
     manifest["files"] = files
     # a manifest orjson cannot encode raises here, before any file is written
     _encode_json(manifest)
@@ -181,9 +175,11 @@ def cmd_generate(args, argv) -> int:
 
 
 def _build_instance(args):
-    """The instance of every family but fourier-sum, and the manifest
-    ``params`` of its arguments, all parsed before any file is written."""
+    """The instance of the family, and the manifest ``params`` of its
+    arguments, all parsed before any file is written."""
     fam = args.family
+    if fam == "fourier-sum":
+        return fourier_sum(args.n, args.seed), {}
     if fam in ("companion", "colleague"):
         if not args.coeffs:
             raise ContractError(f"--coeffs is required for the {fam} family")
@@ -237,21 +233,22 @@ def cmd_reduce(args, argv) -> int:
     else:
         A = _read(args.input, inputs)
     if args.start != "auto":
-        Z, phase = _read(args.start, inputs), 1.0 + 0j
+        Z = _read(args.start, inputs)
     elif manifest is None:
         raise ContractError(
             "automatic starting blocks need a manifest directory; "
             "pass --start with an explicit block file instead"
         )
     else:
-        Z, phase = read("start"), complex(*manifest["phase"])
-    red = block_lanczos(hermitian_part(phase * A), Z, tol=args.tol)
-    U, T = red.basis, red.trid
+        Z = read("start")
+    red = block_lanczos(A, Z, tol=args.tol)
+    U = red.basis
     n = A.shape[0]
     norm_a = fro(A)
     A_trid = U.conj().T @ A @ U
-    similarity = fro(hermitian_part(phase * A_trid) - T)
-    off_profile = off_profile_residual(A_trid, red.block_sizes)
+    similarity = fro(A_trid - red.trid)
+    sizes = red.block_sizes
+    off_profile = off_profile_residual(A_trid, sizes)
     residuals = {
         "unitarity": fro(U.conj().T @ U - np.eye(n)) / np.sqrt(n),
         # relative to ||A||_F; the zero matrix has zero residuals
@@ -261,9 +258,8 @@ def cmd_reduce(args, argv) -> int:
     }
     os.makedirs(args.out, exist_ok=True)
     write_matrix(os.path.join(args.out, "U.mtx"), U)
-    write_matrix(os.path.join(args.out, "T.mtx"), T)
     write_matrix(os.path.join(args.out, "A_trid.mtx"), A_trid)
-    files = {"basis": "U.mtx", "trid": "T.mtx", "matrix_trid": "A_trid.mtx"}
+    files = {"basis": "U.mtx", "matrix_trid": "A_trid.mtx"}
     if manifest is not None and "perturbation" in manifest["files"]:
         C = read("perturbation")
         C_trid = U.conj().T @ C @ U
@@ -275,10 +271,11 @@ def cmd_reduce(args, argv) -> int:
         "command": " ".join(argv),
         "tool_version": __version__,
         "inputs": inputs,
-        "block_sizes": list(red.block_sizes),
+        "block_sizes": list(sizes),
         "breakdown_events": [list(e) for e in red.breakdown_events],
         "restarted": red.restarted,
-        "rotation_phase": _cplx(phase),
+        # a wider block: the instance lacks the structure behind the bound
+        "blocks_grow": any(b > a for a, b in zip(sizes, sizes[1:])),
         "residuals": residuals,
         "files": files,
         "elapsed_ms": (time.perf_counter() - t0) * 1e3,
@@ -286,7 +283,8 @@ def cmd_reduce(args, argv) -> int:
     _write_json(os.path.join(args.out, "report.json"), report)
     _print_json({k: v for k, v in report.items() if k != "elapsed_ms"})
     checked = [v for v in residuals.values() if v is not None]
-    return EXIT_OK if all(v <= args.tol for v in checked) else EXIT_VERIFY
+    ok = all(v <= args.tol for v in checked) and not report["blocks_grow"]
+    return EXIT_OK if ok else EXIT_VERIFY
 
 
 def cmd_verify(args, argv) -> int:

@@ -17,16 +17,14 @@ import numpy as np
 from .almostnormal import (
     CommutatorCertificate,
     ConicCoefficients,
-    antihermitian_rescaling,
     certify,
     conic_fit,
     perturbation_hermitian_rank_one,
     perturbation_unitary_rank_one,
-    rotate_leading_form,
     starting_block_curve,
     starting_block_rank_one,
 )
-from .errors import GenerationError, LinearVarietyError, SingularityError, SolverFailure
+from .errors import GenerationError, SingularityError, SolverFailure
 from .matcore import as_square, commutator, fro, orthonormal_range, svd
 from .structure import _envelope_mask
 
@@ -57,10 +55,10 @@ class GeneratedInstance:
     structural definition (for example ``x``, ``y`` and the Hermitian part for
     a Hermitian-plus-rank-one instance), so the matrix can be rebuilt exactly.
 
-    ``start`` (n x l, l <= n) and the unit ``phase`` are the family's reduction:
-    ``block_lanczos(hermitian_part(phase * matrix), start)`` block
-    tridiagonalizes ``matrix`` within the family's block bound.  ``start`` is
-    None only for the zero-perturbation :func:`solve_commutator_equation`.
+    ``start`` (n x l, l <= n) is the family's starting block:
+    ``block_lanczos(matrix, start)`` block tridiagonalizes ``matrix`` within
+    the family's block bound.  ``start`` is None only for the
+    zero-perturbation :func:`solve_commutator_equation`.
     """
 
     matrix: np.ndarray
@@ -70,7 +68,6 @@ class GeneratedInstance:
     seed: int
     start: np.ndarray | None
     conic: ConicCoefficients | None = field(default=None)
-    phase: complex = 1.0 + 0j
 
 
 def _rng(family: str, seed: int, extra: tuple[int, ...] = ()) -> np.random.Generator:
@@ -207,9 +204,10 @@ def chebyshev_colleague(coeffs) -> GeneratedInstance:
     )
 
 
-def fourier_sum(n: int, seed: int):
+def fourier_sum(n: int, seed: int) -> GeneratedInstance:
     """H = F + F^H for the unitary discrete Fourier matrix F of even order n,
-    with the two-column starting block Z = [z, F z] for a seeded random z.
+    with the two-column starting block [z, F z] for a seeded random z, which
+    ``perturbation_data`` holds.  H is Hermitian and has no certificate.
 
     H has minimal polynomial dividing t (t^2 - 4), so the reduction breaks
     down within the first few steps from any start.
@@ -221,8 +219,14 @@ def fourier_sum(n: int, seed: int):
     F = np.exp(-2j * np.pi * np.outer(grid, grid) / n) / np.sqrt(n)
     H = F + F.conj().T
     z = _unit_vector(rng, n)
-    Z = np.column_stack([z, F @ z])
-    return H, Z
+    return GeneratedInstance(
+        matrix=H,
+        family="fourier_sum",
+        perturbation_data={"z": z},
+        certificate=None,
+        seed=seed,
+        start=np.column_stack([z, F @ z]),
+    )
 
 
 def curve_normal_plus_rank_one(n: int, curve: str, seed: int) -> GeneratedInstance:
@@ -265,14 +269,12 @@ def curve_normal_plus_rank_one(n: int, curve: str, seed: int) -> GeneratedInstan
     if cert is not None:
         data["C"] = cert.perturbation
     conic = conic_fit(lam)
-    try:
-        rotated = rotate_leading_form(conic)
-    except LinearVarietyError:
-        # spectrum on a line: A is Hermitian plus rank one
-        start, phase = np.column_stack([u, v]), 1.0 + 0j
+    if conic.real_form[:3] == (0.0, 0.0, 0.0):
+        # conic_fit zeroes the quadratic part of a line: A is Hermitian plus
+        # rank one, up to a shift and a phase
+        start = np.column_stack([u, v])
     else:
-        phase = np.exp(1j * rotated.theta)
-        start = _fit_start(starting_block_curve(phase * A, phase * u, v, rotated))
+        start = _fit_start(starting_block_curve(A, u, v, conic))
     return GeneratedInstance(
         matrix=A,
         family="curve_normal_h1",
@@ -281,7 +283,6 @@ def curve_normal_plus_rank_one(n: int, curve: str, seed: int) -> GeneratedInstan
         seed=seed,
         start=start,
         conic=conic,
-        phase=complex(phase),
     )
 
 
@@ -396,8 +397,7 @@ def solve_commutator_equation(C, seed: int = 0) -> GeneratedInstance:
     eight restarts with fresh streams are attempted; success means a residual
     at most ``1e-10 * max(1, ||X||_F^2)``.  The zero perturbation is answered
     directly with a seeded random normal matrix, which has no start.  Other
-    starts are :func:`starting_block_rank_one`, with the phase of
-    :func:`antihermitian_rescaling` when that is one column.
+    starts are :func:`starting_block_rank_one`.
 
     Sizes above 16 are rejected; the dense Jacobian makes larger systems
     pointless for a test-instance generator.
@@ -427,24 +427,18 @@ def solve_commutator_equation(C, seed: int = 0) -> GeneratedInstance:
         )
     u = sv.singular_values[0] * sv.left_vectors[:, 0]
     v = sv.right_vectors[:, 0]
-    phase = 1.0 + 0j
     for attempt in range(8):
         rng = _rng("solved_commutator", seed, (attempt,))
         X0 = _block_tridiagonal_init(rng, n)
         X, ok = _gauss_newton(X0, C)
         if ok:
-            start = starting_block_rank_one(X, u, v)
-            if start.shape[1] == 1:
-                w = antihermitian_rescaling(u, v)
-                phase = w / abs(w)
             return GeneratedInstance(
                 matrix=X,
                 family="solved_commutator",
                 perturbation_data={"u": u, "v": v, "C": C},
                 certificate=certify(X, C, 1),
                 seed=seed,
-                start=start,
-                phase=phase,
+                start=starting_block_rank_one(X, u, v),
             )
     raise SolverFailure(
         "commutator equation solver did not converge after 8 restarts "

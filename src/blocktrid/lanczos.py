@@ -1,13 +1,13 @@
-"""Block Lanczos reduction of a Hermitian matrix to block tridiagonal form.
+"""Block Lanczos reduction of a square matrix to block tridiagonal form.
 
-The driver orthonormalizes the starting block, then repeatedly applies the
-matrix to the newest block and orthogonalizes against everything computed so
-far (two passes of block Gram-Schmidt, so the certified block profile is not
-destroyed by loss of orthogonality).  Rank loss in a candidate block shrinks
-the block width permanently; a candidate of numerical rank zero before n
-columns is a breakdown, which is logged and handled by restarting from the
-canonical basis vector least captured by the computed columns.  Across a
-breakdown boundary the reduced matrix is block diagonal.
+The driver orthonormalizes the starting block, then repeatedly applies A and
+A^H to the newest block and orthogonalizes the pair against everything
+computed so far (two passes of block Gram-Schmidt, so the certified block
+profile is not destroyed by loss of orthogonality).  A candidate of
+numerical rank zero before n columns is a breakdown, which is logged and
+handled by restarting from the canonical basis vector least captured by the
+computed columns.  Across a breakdown boundary the reduced matrix is block
+diagonal.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import DimensionError
 from .matcore import (
     DEFAULT_TOL,
     _checked_svd,
@@ -34,11 +34,11 @@ from .matcore import (
 class BlockTridiagonalization:
     """Result of a block Lanczos run.
 
-    ``basis`` is unitary with ``basis^H H basis = trid``; ``trid`` is Hermitian
-    and exactly zero outside the block tridiagonal envelope induced by
-    ``block_sizes``.  ``breakdown_events`` holds ``(step, columns_completed)``
-    pairs, where ``step`` counts diagonal blocks finished when the breakdown
-    was detected.
+    ``basis`` is unitary and ``trid`` is the block tridiagonal part of
+    ``basis^H A basis``, read off the recurrence and exactly zero outside the
+    envelope induced by ``block_sizes``.  ``breakdown_events`` holds
+    ``(step, columns_completed)`` pairs, where ``step`` counts diagonal blocks
+    finished when the breakdown was detected.
     """
 
     basis: np.ndarray
@@ -87,44 +87,46 @@ def _append_range(B, cols, R, cutoff):
     return s[:keep], Vh[:keep]
 
 
-def block_lanczos(H, Z, tol: float = DEFAULT_TOL) -> BlockTridiagonalization:
-    """Reduce Hermitian H to block tridiagonal form starting from block Z.
+def block_lanczos(A, Z, tol: float = DEFAULT_TOL) -> BlockTridiagonalization:
+    """Reduce square A to block tridiagonal form starting from block Z.
+
+    Each new block is the range of [A U_k, A^H U_k] outside the basis so far,
+    for the newest block U_k: the span of [A_H U_k, A_AH U_k] for the
+    Hermitian and antihermitian parts of A, so the blocks of A and of e^{i phi}
+    A agree for every phase.  For a Hermitian A the pair is two copies of
+    A U_k, and the reduction is the Hermitian block Lanczos one.
 
     Parameters
     ----------
-    H : array_like (n, n)
-        Hermitian matrix (checked to relative tolerance 1e-12).
+    A : array_like (n, n)
+        Square matrix.
     Z : array_like (n, l)
         Nonzero starting block, l <= n.  A 1-D array is taken as one column.
     tol : float
         Relative rank tolerance.  The orthonormal width of Z is decided
         against Z's own largest singular value; candidate blocks inside the
-        iteration are ranked against ``tol * ||H||_F`` so that an invariant
-        subspace registers as a breakdown.
+        iteration are ranked against ``tol * sqrt(2) * ||A||_F``, the
+        Frobenius norm of the pair [A, A^H], so that a subspace invariant
+        under A and A^H registers as a breakdown.
 
     Returns
     -------
     BlockTridiagonalization
-        The first ``rank(Z)`` basis columns span range(Z).  Block widths never
-        grow within an unbroken run; each restart opens a width-1 run from the
-        least captured canonical vector, and trid is block diagonal across it.
+        The first ``rank(Z)`` basis columns span range(Z).  A block can be up
+        to twice as wide as the one before it; each restart opens a width-1
+        run from the least captured canonical vector, and trid is block
+        diagonal across it.
 
     Raises
     ------
-    ContractError
-        If H is not Hermitian to relative tolerance 1e-12.
     ValueError
         If Z is identically zero.
     """
-    H, Z = _check_operands(H, Z, "H")
-    n = H.shape[0]
+    A, Z = _check_operands(A, Z, "A")
+    n = A.shape[0]
     if Z.shape[1] > n:
         raise DimensionError(f"Z has {Z.shape[1]} > n = {n} columns")
-    scale = fro(H)
-    if fro(H - H.conj().T) > 1e-12 * scale:
-        raise ContractError("H is not Hermitian to relative tolerance 1e-12")
-
-    cutoff = tol * scale
+    cutoff = tol * np.sqrt(2.0) * fro(A)
 
     U = np.zeros((n, n), dtype=np.complex128)
     T = np.zeros((n, n), dtype=np.complex128)
@@ -134,27 +136,28 @@ def block_lanczos(H, Z, tol: float = DEFAULT_TOL) -> BlockTridiagonalization:
     sizes = [s0]
     events: list[tuple[int, int]] = []
 
-    # Each pass applies H once to the newest block U_k, which gives its
-    # diagonal block A_k = U_k^H (H U_k) and, from the SVD of the projected
-    # product, the next block and B_k = U_{k+1}^H H U_k = diag(s) Vh.
+    # Each pass applies A and A^H once to the newest block U_k, which gives
+    # its diagonal block U_k^H (A U_k) and, from the SVD of the projected
+    # pair, the next block with U_{k+1}^H [A U_k, A^H U_k] = diag(s) Vh: the
+    # block below the diagonal and the adjoint of the block above it.
     start = 0
     while True:
         width = sizes[-1]
         Uk = U[:, start : start + width]
-        HUk = H @ Uk
-        Ak = Uk.conj().T @ HUk
-        T[start : start + width, start : start + width] = hermitian_part(Ak)
+        AUk = A @ Uk
+        T[start : start + width, start : start + width] = Uk.conj().T @ AUk
         if cols == n:
             break
-        s, Vh = _append_range(U, cols, HUk, cutoff)
+        pair = np.hstack((AUk, (Uk.conj().T @ A).conj().T))
+        s, Vh = _append_range(U, cols, pair, cutoff)
         if s.size == 0:
             events.append((len(sizes), cols))
             _restart_vector(U, cols)
             sizes.append(1)
         else:
             Bk = s[:, None] * Vh
-            T[cols : cols + s.size, start : start + width] = Bk
-            T[start : start + width, cols : cols + s.size] = Bk.conj().T
+            T[cols : cols + s.size, start : start + width] = Bk[:, :width]
+            T[start : start + width, cols : cols + s.size] = Bk[:, width:].conj().T
             sizes.append(s.size)
         start = cols
         cols += sizes[-1]
@@ -184,7 +187,7 @@ def krylov_levels(M, Z, j_max: int, tol: float = DEFAULT_TOL):
     K_j(M, Z) = range([Z, M Z, ..., M^j Z]).  Returns ``(B, dims)`` where the
     level-j basis is ``B[:, :dims[j]]``; new directions are only ever appended,
     so level bases are prefixes of one another.  New directions are kept above
-    ``tol * ||M||_F``, the cut of :func:`block_lanczos`.
+    ``tol * ||M||_F``, the cut :func:`block_lanczos` makes for a Hermitian M.
     """
     M, Z = _check_operands(M, Z, "M")
     if j_max < 0:

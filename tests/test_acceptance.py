@@ -27,6 +27,7 @@ from blocktrid import (
     perturbation_unitary_rank_one,
     qr_iteration_tracked,
     random_unitary_plus_rank_one,
+    rotate_leading_form,
     solve_commutator_equation,
     starting_block_rank_one,
 )
@@ -91,9 +92,9 @@ def test_03_companion_identities_and_reduction():
 def test_04_curve_normal_parabola_arc():
     inst = curve_normal_plus_rank_one(32, "parabola_arc", 3)
     assert inst.conic.max_residual <= 1e-10
-    A, Z = inst.phase * inst.matrix, inst.start
+    A, Z = inst.matrix, inst.start
     assert Z.shape[1] == 6
-    red = block_lanczos(hermitian_part(A), Z)
+    red = block_lanczos(A, Z)
     assert red.block_sizes[0] <= 6
     assert all(w <= 4 for w in red.block_sizes[1:])
     A_trid = red.basis.conj().T @ inst.matrix @ red.basis
@@ -102,8 +103,9 @@ def test_04_curve_normal_parabola_arc():
 
 
 def test_05_fourier_sum_breakdown_and_restart():
-    H, Z = fourier_sum(16, 1)
-    red = block_lanczos(H, Z)
+    inst = fourier_sum(16, 1)
+    H = inst.matrix
+    red = block_lanczos(H, inst.start)
     assert red.restarted
     assert red.breakdown_events[0][0] <= 3
     M = red.basis.conj().T @ H @ red.basis
@@ -126,7 +128,7 @@ def test_06_krylov_inclusion_suites():
         )
     for seed in range(10):
         inst = curve_normal_plus_rank_one(24, "parabola_arc", seed)
-        A = inst.phase * inst.matrix
+        A = np.exp(1j * rotate_leading_form(inst.conic).theta) * inst.matrix
         worst = max(worst, max(krylov_inclusion_check(A, inst.start, 5)))
     assert worst <= 1e-9
     report(f"6 krylov inclusion, 30 instances, j <= 5: worst {worst:.2e} <= 1e-9")

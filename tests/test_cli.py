@@ -32,7 +32,7 @@ class TestGenerate:
         assert run("generate", "--family", "companion",
                    "--coeffs", "1,0,0,0,1", "--out", str(out)) == 0
         manifest = load_report(out / "manifest.json")
-        assert manifest["schema_version"] == "4"
+        assert manifest["schema_version"] == "5"
         assert (out / manifest["files"]["matrix"]).exists()
         assert (out / manifest["files"]["perturbation"]).exists()
         assert manifest["certificate"]["residual"] <= 1e-10
@@ -52,8 +52,8 @@ class TestGenerate:
         assert (out / manifest["files"]["matrix"]).exists()
         assert manifest["files"]["start"] == "Z.mtx"
         assert read_matrix(out / "Z.mtx").shape == (manifest["n"], width)
-        re, im = manifest["phase"]
-        assert abs(complex(re, im)) == pytest.approx(1.0, abs=1e-15)
+        # the reduction applies A and A^H together, so no family needs a phase
+        assert "phase" not in manifest
 
     def test_fourier_writes_matrix_and_start(self, tmp_path):
         out = tmp_path / "fs"
@@ -122,10 +122,9 @@ class TestReduce:
         assert max(report["block_sizes"]) <= 2
         for key in ("unitarity", "similarity", "off_profile", "certificate"):
             assert report["residuals"][key] <= 1e-10
-        assert (red / "U.mtx").exists()
-        assert (red / "T.mtx").exists()
-        assert (red / "A_trid.mtx").exists()
-        assert (red / "C_trid.mtx").exists()
+        assert sorted(p.name for p in red.iterdir()) == [
+            "A_trid.mtx", "C_trid.mtx", "U.mtx", "report.json"]
+        assert report["blocks_grow"] is False
 
     def test_companion_block_bound(self, tmp_path):
         gen, red = tmp_path / "gen", tmp_path / "red"
@@ -143,7 +142,7 @@ class TestReduce:
         sizes = report["block_sizes"]
         assert sizes[0] <= 6
         assert all(s <= 4 for s in sizes[1:])
-        assert report["rotation_phase"] != [1.0, 0.0]
+        assert "rotation_phase" not in report
 
     @pytest.mark.parametrize("n, seed", [(16, 2), (64, 159)])
     def test_curve_line_routes_to_hermitian_path(self, tmp_path, n, seed):
@@ -153,7 +152,8 @@ class TestReduce:
         assert run("reduce", str(gen), "--out", str(red)) == 0
         report = load_report(red / "report.json")
         assert max(report["block_sizes"]) <= 2
-        assert report["rotation_phase"] == [1.0, 0.0]
+        assert load_report(gen / "manifest.json")["files"]["start"] == "Z.mtx"
+        assert read_matrix(gen / "Z.mtx").shape[1] == 2
 
     def test_fourier_breakdown_reported_not_failed(self, tmp_path):
         for n, seed in ((16, 1), (128, 0)):
@@ -239,7 +239,7 @@ class TestReduce:
         assert run("reduce", str(gen), "--out", str(red)) == 0
         report = load_report(red / "report.json")
         assert all(s == 1 for s in report["block_sizes"])
-        assert report["rotation_phase"] != [1.0, 0.0]
+        assert "rotation_phase" not in report
 
     def test_matrix_without_manifest_needs_start(self, tmp_path):
         path = tmp_path / "A.mtx"
@@ -263,7 +263,7 @@ class TestReduce:
                    "--out", str(gen)) == 0
         manifest = load_report(gen / "manifest.json")
         manifest["schema_version"] = "2"
-        del manifest["files"]["start"], manifest["phase"]
+        del manifest["files"]["start"]
         (gen / "manifest.json").write_text(json.dumps(manifest))
         capsys.readouterr()
         assert run("reduce", str(gen), "--out", str(tmp_path / "red")) == 4
@@ -313,6 +313,60 @@ class TestReduce:
         del report["elapsed_ms"]
         expected = orjson.dumps(report, option=orjson.OPT_SORT_KEYS).decode()
         assert capsys.readouterr().out == expected + "\n"
+
+
+class TestBlocksGrow:
+    """``reduce`` exits 2 when a block is wider than the block before it: the
+    instance lacks the structure behind the family's block bound."""
+
+    def test_circle_pipeline_at_256(self, tmp_path):
+        gen, red = tmp_path / "gen", tmp_path / "red"
+        assert run("generate", "--family", "curve", "--curve", "circle", "--n", "256",
+                   "--seed", "2", "--out", str(gen)) == 0
+        assert run("reduce", str(gen), "--out", str(red)) == 0
+        assert run("qr-track", str(red / "A_trid.mtx"), str(red / "C_trid.mtx"),
+                   "--steps", "30", "--out", str(tmp_path / "track.json")) == 0
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("c_kind", ["independent", "dependent"])
+    def test_solved_exit_codes(self, tmp_path, c_kind, seed, n):
+        # Gauss-Newton converges to reducible solutions, which the reduction
+        # theorem does not cover, and their blocks widen; only independent
+        # n = 8 seed 2 keeps its blocks
+        gen, red = tmp_path / "gen", tmp_path / "red"
+        assert run("generate", "--family", "solved", "--n", str(n), "--seed", str(seed),
+                   "--c-kind", c_kind, "--out", str(gen)) == 0
+        code = run("reduce", str(gen), "--out", str(red))
+        report = load_report(red / "report.json")
+        if (c_kind, n, seed) == ("independent", 8, 2):
+            assert code == 0 and report["blocks_grow"] is False
+        else:
+            assert code == 2 and report["blocks_grow"] is True
+        assert report["residuals"]["off_profile"] <= 1e-10
+
+    def test_planted_growth_exits_2(self, tmp_path):
+        rng = np.random.default_rng(12)
+        a, start, red = tmp_path / "A.mtx", tmp_path / "Z.mtx", tmp_path / "red"
+        write_matrix(a, crandn(rng, 12, 12))
+        write_matrix(start, crandn(rng, 12, 1))
+        assert run("reduce", str(a), "--start", str(start), "--out", str(red)) == 2
+        report = load_report(red / "report.json")
+        assert report["blocks_grow"] is True
+        assert report["residuals"]["off_profile"] <= 1e-10
+
+    def test_schema_4_phase_is_not_read(self, tmp_path):
+        gen = tmp_path / "gen"
+        assert run("generate", "--family", "curve", "--curve", "parabola-arc",
+                   "--n", "24", "--seed", "3", "--out", str(gen)) == 0
+        manifest = load_report(gen / "manifest.json")
+        sizes = []
+        for name, extra in (("with", {"phase": [0.0, 1.0]}), ("without", {})):
+            (gen / "manifest.json").write_text(
+                json.dumps({**manifest, "schema_version": "4", **extra}))
+            assert run("reduce", str(gen), "--out", str(tmp_path / name)) == 0
+            sizes.append(load_report(tmp_path / name / "report.json")["block_sizes"])
+        assert sizes[0] == sizes[1]
 
 
 class TestVerify:

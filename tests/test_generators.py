@@ -6,7 +6,6 @@ from blocktrid import (
     DimensionError,
     LinearVarietyError,
     SolverFailure,
-    antihermitian_rescaling,
     arrow_hermitian_plus_rank_one,
     block_lanczos,
     chebyshev_colleague,
@@ -159,24 +158,28 @@ class TestChebyshevColleague:
 
 class TestFourierSum:
     def test_fourier_matrix_unitary(self):
-        H, Z = fourier_sum(16, 0)
+        inst = fourier_sum(16, 0)
+        H, Z = inst.matrix, inst.start
         n = 16
         grid = np.arange(n)
         F = np.exp(-2j * np.pi * np.outer(grid, grid) / n) / np.sqrt(n)
         assert fro(F.conj().T @ F - np.eye(n)) <= 1e-13
         assert fro(H - (F + F.conj().T)) == 0.0
         assert np.allclose(Z[:, 1], F @ Z[:, 0], atol=1e-15)
+        assert np.array_equal(Z[:, 0], inst.perturbation_data["z"])
+        assert inst.certificate is None
 
     @pytest.mark.parametrize("n", [4, 16])
     def test_breakdown_within_three_steps(self, n):
-        H, Z = fourier_sum(n, 1)
-        red = block_lanczos(H, Z)
+        inst = fourier_sum(n, 1)
+        red = block_lanczos(inst.matrix, inst.start)
         assert red.restarted
         assert red.breakdown_events[0][0] <= 3
 
     def test_block_diagonal_after_restart(self):
-        H, Z = fourier_sum(16, 1)
-        red = block_lanczos(H, Z)
+        inst = fourier_sum(16, 1)
+        H = inst.matrix
+        red = block_lanczos(H, inst.start)
         M = red.basis.conj().T @ H @ red.basis
         for _, col in red.breakdown_events:
             assert np.linalg.norm(M[:col, col:]) <= 1e-10 * fro(H)
@@ -216,7 +219,7 @@ class TestCurveNormal:
 
     def test_parabola_reduction_shrinks_to_four(self):
         inst = curve_normal_plus_rank_one(16, "parabola_arc", 3)
-        red = block_lanczos(hermitian_part(inst.phase * inst.matrix), inst.start)
+        red = block_lanczos(inst.matrix, inst.start)
         assert red.block_sizes[0] <= 6
         assert all(w <= 4 for w in red.block_sizes[1:])
 
@@ -304,24 +307,19 @@ def _solved(n, seed, c_kind):
 
 
 def _family_rule(inst):
-    """Starting block and phase of a Hermitian, curve or solved instance,
-    derived from its ingredients by the paper's rule for its structure."""
+    """Starting block of a Hermitian, curve or solved instance, derived from
+    its ingredients by the paper's rule for its structure."""
     A, data = inst.matrix, inst.perturbation_data
     if inst.family in ("arrow_h1", "hermitian_h1"):
-        return np.column_stack([data["x"], data["y"]]), 1.0 + 0j
+        return np.column_stack([data["x"], data["y"]])
     u, v = data["u"], data["v"]
     if inst.family == "solved_commutator":
-        Z = starting_block_rank_one(A, u, v)
-        if Z.shape[1] == 1:
-            w = antihermitian_rescaling(u, v)
-            return Z, w / abs(w)
-        return Z, 1.0 + 0j
+        return starting_block_rank_one(A, u, v)
     try:
-        rotated = rotate_leading_form(inst.conic)
+        rotate_leading_form(inst.conic)
     except LinearVarietyError:
-        return np.column_stack([u, v]), 1.0 + 0j
-    phase = np.exp(1j * rotated.theta)
-    return starting_block_curve(phase * A, phase * u, v, rotated), phase
+        return np.column_stack([u, v])
+    return starting_block_curve(A, u, v, inst.conic)
 
 
 @pytest.mark.parametrize("build", [
@@ -338,9 +336,7 @@ def _family_rule(inst):
 ])
 def test_start_is_the_family_rule(build):
     inst = build()
-    Z, phase = _family_rule(inst)
-    assert np.array_equal(inst.start, Z)
-    assert inst.phase == phase
+    assert np.array_equal(inst.start, _family_rule(inst))
 
 
 def _companion_of_degree(n, seed):
@@ -361,11 +357,10 @@ def test_unitary_start_spans_commutator_range(build, n):
     S, dim = orthonormal_range(commutator(inst.matrix))
     S = S[:, : min(dim, 4)]
     Z = orthonormal_range(inst.start)[0]
-    assert inst.phase == 1.0
     assert subspace_inclusion_residual(Z, S) <= 1e-12
     assert subspace_inclusion_residual(S, Z) <= 1e-12
-    H = hermitian_part(inst.matrix)
-    assert block_lanczos(H, inst.start).block_sizes == block_lanczos(H, S).block_sizes
+    A = inst.matrix
+    assert block_lanczos(A, inst.start).block_sizes == block_lanczos(A, S).block_sizes
 
 
 @pytest.mark.parametrize("build, rule", [
@@ -393,9 +388,9 @@ def test_start_wider_than_n_is_its_range(build, rule):
                                      + [inst.matrix.conj().T @ inst.perturbation_data["x"],
                                         inst.matrix @ inst.perturbation_data["y"]])
     else:
-        S = rule_block = _family_rule(inst)[0]
+        S = rule_block = _family_rule(inst)
     assert subspace_inclusion_residual(inst.start, rule_block) <= 1e-12
     assert subspace_inclusion_residual(rule_block, inst.start) <= 1e-12
     assert subspace_inclusion_residual(S, inst.start) <= 1e-12
-    red = block_lanczos(hermitian_part(inst.phase * inst.matrix), inst.start)
+    red = block_lanczos(inst.matrix, inst.start)
     assert sum(red.block_sizes) == n

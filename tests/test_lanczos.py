@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from blocktrid import (
-    ContractError,
     DimensionError,
     NumericalError,
     arrow_hermitian_plus_rank_one,
     block_lanczos,
+    curve_normal_plus_rank_one,
     fourier_sum,
     fro,
     hermitian_part,
@@ -77,8 +77,9 @@ class TestBlockLanczos:
         assert len(bounds) == len(red.block_sizes) + 1
 
     def test_fourier_breakdown_and_restart(self):
-        H, Z = fourier_sum(8, 1)
-        red = block_lanczos(H, Z)
+        inst = fourier_sum(8, 1)
+        H = inst.matrix
+        red = block_lanczos(H, inst.start)
         assert red.restarted
         assert red.breakdown_events[0][0] <= 3
         # block diagonal across every breakdown boundary
@@ -88,7 +89,8 @@ class TestBlockLanczos:
 
     @pytest.mark.parametrize("n, seed", [(8, 1), (64, 163), (128, 0), (256, 0)])
     def test_trid_exactly_zero_across_breakdowns(self, n, seed):
-        H, Z = fourier_sum(n, seed)
+        inst = fourier_sum(n, seed)
+        H, Z = inst.matrix, inst.start
         red = block_lanczos(H, Z)
         assert red.breakdown_events
         for _, col in red.breakdown_events:
@@ -103,8 +105,9 @@ class TestBlockLanczos:
         # within three steps; a restart direction almost inside the computed
         # span would turn roundoff into blocks right at the rank cut
         for seed in [*range(150), 163]:
-            H, Z = fourier_sum(64, seed)
-            red = block_lanczos(H, Z)
+            inst = fourier_sum(64, seed)
+            H = inst.matrix
+            red = block_lanczos(H, inst.start)
             U, T = red.basis, red.trid
             M = U.conj().T @ H @ U
             assert fro(M - T) <= 1e-10 * fro(H)
@@ -155,11 +158,34 @@ class TestBlockLanczos:
         assert fro(red.basis.conj().T @ red.basis - np.eye(6)) <= 1e-14
         assert not red.trid.any()
 
-    def test_non_hermitian_rejected(self):
+    def test_non_hermitian_reduces(self):
         rng = np.random.default_rng(0)
         A = crandn(rng, 5, 5)
-        with pytest.raises(ContractError):
-            block_lanczos(A, crandn(rng, 5, 1))
+        red = block_lanczos(A, crandn(rng, 5, 1))
+        U = red.basis
+        assert fro(U.conj().T @ U - np.eye(5)) <= 1e-11 * np.sqrt(5)
+        assert fro(U.conj().T @ A @ U - red.trid) <= 1e-10 * fro(A)
+
+    @pytest.mark.parametrize("n", [128, 256, 512])
+    def test_circle_reduces_at_scale(self, n):
+        # from the Hermitian part alone, the fill outside the envelope grew
+        # along the block rows to 3e-7 (n = 256) and 3.5e-2 (n = 512) of ||A||_F
+        for seed in range(10):
+            inst = curve_normal_plus_rank_one(n, "circle", seed)
+            A = inst.matrix
+            red = block_lanczos(A, inst.start)
+            assert max(red.block_sizes) <= 4
+            M = red.basis.conj().T @ A @ red.basis
+            assert off_profile_residual(M, red.block_sizes) <= 1e-10 * fro(A)
+
+    def test_blocks_do_not_depend_on_phase(self):
+        # [A U, A^H U] spans what [A_H U, A_AH U] spans, for A and e^{i phi} A
+        inst = curve_normal_plus_rank_one(32, "parabola_arc", 3)
+        sizes = block_lanczos(inst.matrix, inst.start).block_sizes
+        assert sizes[0] == 6 and max(sizes[1:]) == 4
+        for k in range(1, 6):
+            A = np.exp(1j * np.pi * k / 6) * inst.matrix
+            assert block_lanczos(A, inst.start).block_sizes == sizes
 
     def test_zero_start_rejected(self):
         with pytest.raises(ValueError):
@@ -185,7 +211,7 @@ class TestBlockLanczos:
             return svd(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", fail_second)
-        with pytest.raises(NumericalError, match="failed to converge for a 12x2 matrix "):
+        with pytest.raises(NumericalError, match="failed to converge for a 12x4 matrix "):
             block_lanczos(H, Z)
         assert len(calls) == 2
 

@@ -590,10 +590,10 @@ class TestResidualProbe:
 
 def scaled_decisions(inst, scale):
     """Every rank and size decision on an instance with A and C scaled by
-    ``scale``: the reduction starts from the instance's own block and phase,
-    as ``blocktrid reduce`` does."""
+    ``scale``: the reduction starts from the instance's own block, as
+    ``blocktrid reduce`` does."""
     A, C = scale * inst.matrix, scale * inst.perturbation_data["C"]
-    red = block_lanczos(hermitian_part(inst.phase * A), inst.start)
+    red = block_lanczos(A, inst.start)
     U = red.basis
     A_trid, C_trid = U.conj().T @ A @ U, U.conj().T @ C @ U
     cert = certify(A, C, 2)
