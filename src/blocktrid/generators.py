@@ -25,7 +25,7 @@ from .almostnormal import (
     starting_block_rank_one,
 )
 from .errors import GenerationError, SingularityError, SolverFailure
-from .matcore import as_square, commutator, fro, orthonormal_range, svd
+from .matcore import as_square, commutator, fro, svd
 from .structure import _envelope_mask
 
 FAMILIES = (
@@ -55,7 +55,8 @@ class GeneratedInstance:
     structural definition (for example ``x``, ``y`` and the Hermitian part for
     a Hermitian-plus-rank-one instance), so the matrix can be rebuilt exactly.
 
-    ``start`` (n x l, l <= n) is the family's starting block:
+    ``start`` (n x l) is the family's starting block, as the family's rule
+    gives it, so l can exceed n at the smallest sizes:
     ``block_lanczos(matrix, start)`` block tridiagonalizes ``matrix`` within
     the family's block bound.  ``start`` is None only for the
     zero-perturbation :func:`solve_commutator_equation`.
@@ -91,16 +92,11 @@ def _haar_unitary(rng, n: int) -> np.ndarray:
     return Q * (d / np.abs(d))
 
 
-def _fit_start(Z) -> np.ndarray:
-    """Z, or the orthonormal basis of range(Z) if Z has more columns than rows."""
-    return Z if Z.shape[1] <= Z.shape[0] else orthonormal_range(Z)[0]
-
-
 def _unitary_start(A, x, y) -> np.ndarray:
     """[x, y, A^H x, A y] for A = U + x y^H, U unitary: since U^H x = A^H x -
     y ||x||^2 and U y = A y - x ||y||^2, it spans {x, y, U^H x, U y}, which
     contains range(A^H A - A A^H).  O(n^2), without forming A^H."""
-    return _fit_start(np.column_stack([x, y, (x.conj() @ A).conj(), A @ y]))
+    return np.column_stack([x, y, (x.conj() @ A).conj(), A @ y])
 
 
 def arrow_hermitian_plus_rank_one(n: int, seed: int) -> GeneratedInstance:
@@ -274,7 +270,7 @@ def curve_normal_plus_rank_one(n: int, curve: str, seed: int) -> GeneratedInstan
         # rank one, up to a shift and a phase
         start = np.column_stack([u, v])
     else:
-        start = _fit_start(starting_block_curve(A, u, v, conic))
+        start = starting_block_curve(A, u, v, conic)
     return GeneratedInstance(
         matrix=A,
         family="curve_normal_h1",

@@ -1,13 +1,14 @@
 """Block Lanczos reduction of a square matrix to block tridiagonal form.
 
-The driver orthonormalizes the starting block, then repeatedly applies A and
-A^H to the newest block and orthogonalizes the pair against everything
-computed so far (two passes of block Gram-Schmidt, so the certified block
-profile is not destroyed by loss of orthogonality).  A candidate of
-numerical rank zero before n columns is a breakdown, which is logged and
-handled by restarting from the canonical basis vector least captured by the
-computed columns.  Across a breakdown boundary the reduced matrix is block
-diagonal.
+The driver orthonormalizes the starting block, of any width, then repeatedly
+applies A and A^H to the newest block and orthogonalizes the pair against
+everything computed so far (two passes of block Gram-Schmidt, so the
+certified block profile is not destroyed by loss of orthogonality).  A
+candidate of numerical rank zero before n columns is a breakdown, which is
+logged and handled by restarting from the canonical basis vector least
+captured by the computed columns.  Across a breakdown boundary the reduced
+matrix is block diagonal.  This is the package's one block-Krylov loop: the
+Krylov levels behind the inclusion check are its block boundaries.
 """
 
 from __future__ import annotations
@@ -56,33 +57,19 @@ class BlockTridiagonalization:
         return tuple(out)
 
 
-def _check_operands(M, Z, name: str):
-    """Checked ``(M, Z)``: square M, nonzero Z of its rows (1-D Z is one column)."""
-    M = as_square(M, name)
-    n = M.shape[0]
-    Z = np.asarray(Z, dtype=np.complex128)
-    if Z.ndim == 1:
-        Z = Z[:, None]
-    Z = as_matrix(Z, "Z")
-    if Z.shape[0] != n:
-        raise DimensionError(f"Z has {Z.shape[0]} rows, {name} is {n}x{n}")
-    if fro(Z) == 0.0:
-        raise ValueError("starting block Z is zero")
-    return M, Z
-
-
 def _append_range(B, cols, R, cutoff):
     """Orthogonalize R against B[:, :cols] (two Gram-Schmidt passes) and write
-    its left singular vectors with singular values above ``cutoff`` into B
-    from column ``cols`` on.  Returns those singular values ``s`` and right
-    singular vectors ``Vh``: the new block B_new has ``B_new^H R = diag(s) Vh``.
+    its left singular vectors with singular values above ``cutoff``, no more
+    than B has columns left, into B from column ``cols`` on.  Returns those
+    singular values ``s`` and right singular vectors ``Vh``: the new block
+    B_new has ``B_new^H R = diag(s) Vh``.
     """
     if cols > 0:
         P = B[:, :cols]
         for _ in range(2):
             R = R - P @ (R.conj().T @ P).conj().T
     Q, s, Vh = _checked_svd(R, full_matrices=False)
-    keep = int(np.count_nonzero(s > cutoff))
+    keep = min(int(np.count_nonzero(s > cutoff)), B.shape[1] - cols)
     B[:, cols : cols + keep] = Q[:, :keep]
     return s[:keep], Vh[:keep]
 
@@ -101,7 +88,8 @@ def block_lanczos(A, Z, tol: float = DEFAULT_TOL) -> BlockTridiagonalization:
     A : array_like (n, n)
         Square matrix.
     Z : array_like (n, l)
-        Nonzero starting block, l <= n.  A 1-D array is taken as one column.
+        Nonzero starting block of any width l.  A 1-D array is taken as one
+        column.
     tol : float
         Relative rank tolerance.  The orthonormal width of Z is decided
         against Z's own largest singular value; candidate blocks inside the
@@ -122,10 +110,16 @@ def block_lanczos(A, Z, tol: float = DEFAULT_TOL) -> BlockTridiagonalization:
     ValueError
         If Z is identically zero.
     """
-    A, Z = _check_operands(A, Z, "A")
+    A = as_square(A, "A")
     n = A.shape[0]
-    if Z.shape[1] > n:
-        raise DimensionError(f"Z has {Z.shape[1]} > n = {n} columns")
+    Z = np.asarray(Z, dtype=np.complex128)
+    if Z.ndim == 1:
+        Z = Z[:, None]
+    Z = as_matrix(Z, "Z")
+    if Z.shape[0] != n:
+        raise DimensionError(f"Z has {Z.shape[0]} rows, A is {n}x{n}")
+    if fro(Z) == 0.0:
+        raise ValueError("starting block Z is zero")
     cutoff = tol * np.sqrt(2.0) * fro(A)
 
     U = np.zeros((n, n), dtype=np.complex128)
@@ -182,37 +176,28 @@ def _restart_vector(U, cols):
 
 
 def krylov_levels(M, Z, j_max: int, tol: float = DEFAULT_TOL):
-    """Orthonormal bases of the nested block Krylov spaces K_0 .. K_{j_max}.
+    """Orthonormal bases of the nested levels 0 .. j_max of a block Lanczos run.
 
-    K_j(M, Z) = range([Z, M Z, ..., M^j Z]).  Returns ``(B, dims)`` where the
-    level-j basis is ``B[:, :dims[j]]``; new directions are only ever appended,
-    so level bases are prefixes of one another.  New directions are kept above
-    ``tol * ||M||_F``, the cut :func:`block_lanczos` makes for a Hermitian M.
+    Level j is spanned by Z and every word of at most j factors M and M^H
+    applied to Z; when M^H is a multiple of M (the Hermitian and
+    antihermitian parts :func:`krylov_inclusion_check` passes) that is the
+    block Krylov space K_j(M, Z) = range([Z, M Z, ..., M^j Z]).  Returns
+    ``(B, dims)`` where the level-j basis is ``B[:, :dims[j]]``: the basis of
+    ``block_lanczos(M, Z, tol)`` up to its j-th block boundary, or up to its
+    first breakdown, after which the levels stay put.  The call runs the whole
+    reduction, whatever ``j_max``.
     """
-    M, Z = _check_operands(M, Z, "M")
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
-    n = M.shape[0]
-    cutoff = tol * fro(M)
-    B = np.zeros((n, n), dtype=np.complex128)
-    Q0, s0 = orthonormal_range(Z, tol)
-    B[:, :s0] = Q0
-    dims = [s0]
-    f_start, f_width = 0, s0
-    for _ in range(j_max):
-        c = dims[-1]
-        if f_width > 0 and c < n:
-            R = M @ B[:, f_start : f_start + f_width]
-            f_start = c
-            f_width = _append_range(B, c, R, cutoff)[0].size
-        else:
-            f_width = 0
-        dims.append(c + f_width)
-    return B, dims
+    red = block_lanczos(M, Z, tol)
+    ends = red.block_boundaries[1:]
+    stop = red.breakdown_events[0][0] if red.restarted else len(ends)
+    return red.basis, [ends[min(j, stop - 1)] for j in range(j_max + 1)]
 
 
 def krylov_basis(M, Z, j: int, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of K_j(M, Z) = range([Z, M Z, ..., M^j Z])."""
+    """Orthonormal basis of level j of :func:`krylov_levels`: K_j(M, Z) =
+    range([Z, M Z, ..., M^j Z]) when M^H is a multiple of M."""
     B, dims = krylov_levels(M, Z, j, tol)
     return B[:, : dims[-1]].copy()
 

@@ -290,7 +290,7 @@ class TestReduce:
         ("curve", "--curve", "parabola-arc", "--n", "5"),
     ])
     def test_smallest_sizes_reduce(self, tmp_path, family):
-        # the family's block has more columns than n here; Z.mtx holds its range
+        # the family's block has more columns than n here; Z.mtx holds it as is
         gen, red = tmp_path / "gen", tmp_path / "red"
         name, *extra = family
         assert run("generate", "--family", name, *extra, "--out", str(gen)) == 0
@@ -354,6 +354,17 @@ class TestBlocksGrow:
         report = load_report(red / "report.json")
         assert report["blocks_grow"] is True
         assert report["residuals"]["off_profile"] <= 1e-10
+
+    def test_tiny_tol_exits_2_not_4(self, tmp_path):
+        # at tol 1e-18 roundoff passes the cut and a candidate block has more
+        # columns above it than the basis has left; the blocks fit n and grow
+        gen, red = tmp_path / "gen", tmp_path / "red"
+        assert run("generate", "--family", "arrow", "--n", "16", "--seed", "0",
+                   "--out", str(gen)) == 0
+        assert run("reduce", str(gen), "--tol", "1e-18", "--out", str(red)) == 2
+        report = load_report(red / "report.json")
+        assert report["blocks_grow"] is True
+        assert sum(report["block_sizes"]) == 16
 
     def test_schema_4_phase_is_not_read(self, tmp_path):
         gen = tmp_path / "gen"

@@ -4,6 +4,7 @@ import pytest
 from blocktrid import (
     DimensionError,
     NumericalError,
+    antihermitian_part,
     arrow_hermitian_plus_rank_one,
     block_lanczos,
     curve_normal_plus_rank_one,
@@ -12,6 +13,7 @@ from blocktrid import (
     hermitian_part,
     krylov_basis,
     krylov_inclusion_check,
+    krylov_levels,
     numerical_rank,
     off_profile_residual,
     orthonormal_range,
@@ -191,9 +193,25 @@ class TestBlockLanczos:
         with pytest.raises(ValueError):
             block_lanczos(np.eye(4, dtype=complex), np.zeros((4, 2)))
 
-    def test_wide_start_rejected(self):
-        with pytest.raises(DimensionError):
-            block_lanczos(np.eye(3, dtype=complex), np.ones((3, 4)))
+    def test_wide_start_reduces(self):
+        # a 3 x 4 start: its orthonormal range is the first block
+        rng = np.random.default_rng(1)
+        A = crandn(rng, 3, 3)
+        for rank in (1, 3):
+            Z = crandn(rng, 3, rank) @ crandn(rng, rank, 4)
+            red = block_lanczos(A, Z)
+            assert red.block_sizes[0] == np.linalg.matrix_rank(Z) == rank
+            assert sum(red.block_sizes) == 3
+            assert fro(red.basis.conj().T @ red.basis - np.eye(3)) <= 1e-11 * np.sqrt(3)
+
+    def test_tiny_tol_never_writes_past_n(self):
+        # at tol 1e-17 roundoff in the projected pair passes the cut, so a
+        # candidate can have more columns above it than the basis has left;
+        # the blocks are then noise, which `reduce` reports, but they fit
+        inst = arrow_hermitian_plus_rank_one(16, 0)
+        red = block_lanczos(inst.matrix, inst.start, tol=1e-17)
+        assert sum(red.block_sizes) == 16
+        assert red.basis.shape == red.trid.shape == (16, 16)
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
@@ -250,11 +268,46 @@ class TestKrylovBasis:
         M = crandn(rng, n, n)
         Z = crandn(rng, n, 3)
         R = crandn(rng, 3, 3) + 2 * np.eye(3)
-        for j in (0, 2, 4):
-            B1 = krylov_basis(M, Z, j)
-            B2 = krylov_basis(M, Z @ R, j)
-            assert subspace_inclusion_residual(B1, B2) <= 1e-11
-            assert subspace_inclusion_residual(B2, B1) <= 1e-11
+        # the non-normal M's levels fill n by j = 2; the Hermitian part's do not
+        for M in (M, hermitian_part(M)):
+            for j in (0, 2, 4):
+                B1 = krylov_basis(M, Z, j)
+                B2 = krylov_basis(M, Z @ R, j)
+                assert subspace_inclusion_residual(B1, B2) <= 1e-11
+                assert subspace_inclusion_residual(B2, B1) <= 1e-11
+
+    @staticmethod
+    def _assert_power_spaces(M, Z, j_max):
+        """Level j is range([Z, M Z, ..., M^j Z]), the columns of each power
+        scaled by ||M||_F^-j, and has that range's numerical rank."""
+        _, dims = krylov_levels(M, Z, j_max)
+        powers = [Z]
+        for j in range(j_max + 1):
+            P = np.column_stack(powers)
+            B = krylov_basis(M, Z, j)
+            assert B.shape[1] == dims[j] == numerical_rank(P)
+            assert subspace_inclusion_residual(B, P) <= 1e-10
+            assert subspace_inclusion_residual(P, B) <= 1e-10
+            powers.append(M @ powers[-1] / fro(M))
+
+    @pytest.mark.parametrize("width", [2, 3])
+    @pytest.mark.parametrize("part", [hermitian_part, antihermitian_part])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_levels_are_power_spaces(self, seed, part, width):
+        # [M U, M^H U] spans M U when M^H = +-M, so the levels are K_j(M, Z)
+        rng = np.random.default_rng(seed)
+        M = part(crandn(rng, 12, 12))
+        self._assert_power_spaces(M, crandn(rng, 12, width), 4)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fourier_levels_stop_at_first_breakdown(self, seed):
+        # H = F + F^H has minimal polynomial dividing t (t^2 - 4): the powers
+        # stagnate, block_lanczos breaks down and the levels stay put
+        inst = fourier_sum(32, seed)
+        assert block_lanczos(inst.matrix, inst.start).restarted
+        _, dims = krylov_levels(inst.matrix, inst.start, 4)
+        assert dims[-1] == dims[-2] < 32
+        self._assert_power_spaces(inst.matrix, inst.start, 4)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
