@@ -26,7 +26,6 @@ from .almostnormal import (
     rotate_leading_form,
     starting_block_curve,
     starting_block_rank_one,
-    starting_block_rank_two,
 )
 from .errors import (
     ConicFitError,
@@ -130,7 +129,6 @@ __all__ = [
     "solve_commutator_equation",
     "starting_block_curve",
     "starting_block_rank_one",
-    "starting_block_rank_two",
     "subspace_inclusion_residual",
     "svd",
 ]

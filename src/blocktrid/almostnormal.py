@@ -36,9 +36,10 @@ from .matcore import (
     commutator,
     fro,
     hermitian_part,
-    orthonormal_range,
-    svd,
 )
+
+# unused here: clibench/layers.py traces these names on this module
+from .matcore import orthonormal_range, svd  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -208,32 +209,6 @@ def antihermitian_rescaling(u, v) -> complex:
     if abs(alpha_conj) == 0.0:
         raise ValueError("v is zero, so the perturbation vanishes")
     return complex(-1j / alpha_conj)
-
-
-def starting_block_rank_two(A, U, V, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Starting block for a matrix certified with C = U V^H, U and V n x 2.
-
-    Returns the four columns [U, V] when they are numerically independent;
-    otherwise falls back to an orthonormal basis of S = range(commutator(A)),
-    truncated to at most four columns.
-    """
-    A = as_matrix(A, "A")
-    U = as_matrix(U, "U")
-    V = as_matrix(V, "V")
-    if U.shape != (A.shape[0], 2) or V.shape != (A.shape[0], 2):
-        raise DimensionError("U and V must both be n x 2 blocks")
-    if svd(U @ V.conj().T, tol).numerical_rank < 2:
-        raise ValueError(
-            "perturbation U V^H has numerical rank below 2; "
-            "use the rank-one starting block instead"
-        )
-    full = np.hstack([U, V])
-    if svd(full, tol).numerical_rank == 4:
-        return full
-    basis, dim = orthonormal_range(commutator(A), tol)
-    if dim == 0:
-        raise ValueError("commutator vanishes; the matrix is already normal")
-    return basis[:, : min(dim, 4)].copy()
 
 
 @dataclass(frozen=True)
@@ -438,25 +413,10 @@ def leading_part_decomposition(c: ConicCoefficients, variant: str):
     return complex(alpha), complex(beta), complex(gamma)
 
 
-def _is_unit_circle(c: ConicCoefficients) -> bool:
-    scale = (
-        abs(c.a20) + abs(c.a11) + abs(c.a02) + abs(c.a10) + abs(c.a01) + abs(c.a00)
-    )
-    if scale == 0.0 or abs(c.a11) == 0.0:
-        return False
-    return (
-        abs(c.a20) <= 1e-8 * scale
-        and abs(c.a10) <= 1e-8 * scale
-        and abs(c.a00 + c.a11) <= 1e-8 * scale
-    )
-
-
-def starting_block_curve(A, u, v, conic: ConicCoefficients | None = None) -> np.ndarray:
+def starting_block_curve(A, u, v) -> np.ndarray:
     """Starting block for A = N + u v^H with N normal on a degree-2 curve.
 
-    Returns the six columns [u, v, A^H u, A^H v, A u, A v].  When ``conic``
-    describes the unit circle (N unitary) the reduced four-column block
-    [u, v, A u, A v] suffices and is returned instead.  Columns may be
+    Returns the six columns [u, v, A^H u, A^H v, A u, A v].  Columns may be
     linearly dependent; the Lanczos driver orthonormalizes them.
     """
     A = as_matrix(A, "A")
@@ -466,8 +426,6 @@ def starting_block_curve(A, u, v, conic: ConicCoefficients | None = None) -> np.
         raise DimensionError("u and v must match the matrix size")
     if np.linalg.norm(u) == 0.0 or np.linalg.norm(v) == 0.0:
         raise ValueError("u and v must be nonzero")
-    if conic is not None and _is_unit_circle(conic):
-        return np.column_stack([u, v, A @ u, A @ v])
     Ah = A.conj().T
     return np.column_stack([u, v, Ah @ u, Ah @ v, A @ u, A @ v])
 

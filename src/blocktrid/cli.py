@@ -394,7 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
     red = sub.add_parser("reduce", help="reduce to block tridiagonal form")
     red.add_argument("input", help="manifest directory or matrix file")
     red.add_argument("--start", default="auto", help="starting block file, or 'auto'")
-    red.add_argument("--tol", type=float, default=1e-10)
+    red.add_argument(
+        "--tol", type=float, default=1e-10,
+        help="relative rank tolerance, at least n * eps (2.2e-16 n); a smaller one exits 4",
+    )
     red.add_argument("--out", default=".")
     red.set_defaults(func=cmd_reduce)
 

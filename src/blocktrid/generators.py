@@ -95,7 +95,9 @@ def _haar_unitary(rng, n: int) -> np.ndarray:
 def _unitary_start(A, x, y) -> np.ndarray:
     """[x, y, A^H x, A y] for A = U + x y^H, U unitary: since U^H x = A^H x -
     y ||x||^2 and U y = A y - x ||y||^2, it spans {x, y, U^H x, U y}, which
-    contains range(A^H A - A A^H).  O(n^2), without forming A^H."""
+    contains range(A^H A - A A^H).  O(n^2), without forming A^H.  The start
+    of the unitary and companion families, and of circle curve instances,
+    whose normal part is unitary."""
     return np.column_stack([x, y, (x.conj() @ A).conj(), A @ y])
 
 
@@ -230,9 +232,12 @@ def curve_normal_plus_rank_one(n: int, curve: str, seed: int) -> GeneratedInstan
 
     ``curve`` is one of ``circle`` (unit circle, N unitary), ``line`` (real
     axis, N Hermitian) or ``parabola_arc`` (t + i t^2 for t equispaced in
-    [-1, 1]).  The eigenvalue set always refits its curve with residual at
-    the default tolerance.  Circle and line instances carry closed-form
-    certificates; parabola instances have none.
+    [-1, 1]).  The start is the rule of the curve's matrix class: the
+    unitary [u, v, A^H u, A v] for a circle, the Hermitian [u, v] for a line
+    and :func:`starting_block_curve` for a parabola.  The eigenvalue set
+    always refits its curve with residual at the default tolerance.  Circle
+    and line instances carry closed-form certificates; parabola instances
+    have none.
     """
     if n < 4:
         raise ValueError(f"curve instances need n >= 4, got {n}")
@@ -253,24 +258,21 @@ def curve_normal_plus_rank_one(n: int, curve: str, seed: int) -> GeneratedInstan
     A = N + np.outer(u, v.conj())
     cert = None
     if curve == "circle":
+        start = _unitary_start(A, u, v)
         try:
             C = perturbation_unitary_rank_one(N, u, v, tol=1e-6)
             cert = certify(A, C, 2)
         except SingularityError:
             cert = None
     elif curve == "line":
+        start = np.column_stack([u, v])
         C = perturbation_hermitian_rank_one(u, v)
         cert = certify(A, C, 2)
+    else:
+        start = starting_block_curve(A, u, v)
     data = {"normal": N, "u": u, "v": v, "eigenvalues": lam}
     if cert is not None:
         data["C"] = cert.perturbation
-    conic = conic_fit(lam)
-    if conic.real_form[:3] == (0.0, 0.0, 0.0):
-        # conic_fit zeroes the quadratic part of a line: A is Hermitian plus
-        # rank one, up to a shift and a phase
-        start = np.column_stack([u, v])
-    else:
-        start = starting_block_curve(A, u, v, conic)
     return GeneratedInstance(
         matrix=A,
         family="curve_normal_h1",
@@ -278,7 +280,7 @@ def curve_normal_plus_rank_one(n: int, curve: str, seed: int) -> GeneratedInstan
         certificate=cert,
         seed=seed,
         start=start,
-        conic=conic,
+        conic=conic_fit(lam),
     )
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import ContractError, DimensionError
 from .matcore import (
     DEFAULT_TOL,
     _checked_svd,
@@ -91,11 +91,13 @@ def block_lanczos(A, Z, tol: float = DEFAULT_TOL) -> BlockTridiagonalization:
         Nonzero starting block of any width l.  A 1-D array is taken as one
         column.
     tol : float
-        Relative rank tolerance.  The orthonormal width of Z is decided
-        against Z's own largest singular value; candidate blocks inside the
-        iteration are ranked against ``tol * sqrt(2) * ||A||_F``, the
-        Frobenius norm of the pair [A, A^H], so that a subspace invariant
-        under A and A^H registers as a breakdown.
+        Relative rank tolerance, at least n * eps: below roundoff, noise
+        directions pass the cut and the basis loses unitarity.  The
+        orthonormal width of Z is decided against Z's own largest singular
+        value; candidate blocks inside the iteration are ranked against
+        ``tol * sqrt(2) * ||A||_F``, the Frobenius norm of the pair [A, A^H],
+        so that a subspace invariant under A and A^H registers as a
+        breakdown.
 
     Returns
     -------
@@ -107,11 +109,18 @@ def block_lanczos(A, Z, tol: float = DEFAULT_TOL) -> BlockTridiagonalization:
 
     Raises
     ------
+    ContractError
+        If ``tol`` is below n * eps (or NaN).
     ValueError
         If Z is identically zero.
     """
     A = as_square(A, "A")
     n = A.shape[0]
+    floor = n * np.finfo(float).eps
+    if not tol >= floor:
+        raise ContractError(
+            f"tol must be at least n * eps = {floor:.3e} for n = {n}, got {tol!r}"
+        )
     Z = np.asarray(Z, dtype=np.complex128)
     if Z.ndim == 1:
         Z = Z[:, None]

@@ -31,7 +31,6 @@ from blocktrid import (
     solve_commutator_equation,
     starting_block_curve,
     starting_block_rank_one,
-    starting_block_rank_two,
     subspace_inclusion_residual,
 )
 from blocktrid import matcore
@@ -348,38 +347,6 @@ class TestStartingBlocks:
         with pytest.raises(ValueError):
             starting_block_rank_one(np.eye(3), np.zeros(3), np.ones(3))
 
-    def test_rank_two_passthrough(self):
-        inst = random_unitary_plus_rank_one(12, 0)
-        Uu = inst.perturbation_data["unitary"]
-        x = inst.perturbation_data["x"]
-        y = inst.perturbation_data["y"]
-        d = 1 + np.vdot(y, Uu.conj().T @ x)
-        Ub = np.column_stack([y, (Uu.conj().T @ x) / d])
-        Vb = np.column_stack([x, Uu @ y])
-        Z = starting_block_rank_two(inst.matrix, Ub, Vb)
-        assert Z.shape == (12, 4)
-        assert np.array_equal(Z, np.hstack([Ub, Vb]))
-
-    def test_rank_two_falls_back_to_commutator_range(self):
-        inst = arrow_hermitian_plus_rank_one(12, 0)
-        x = inst.perturbation_data["x"]
-        y = inst.perturbation_data["y"]
-        Ub = np.column_stack([y, x])
-        Vb = np.column_stack([x, -y])  # U V^H = y x^H - x y^H, rank([U,V]) = 2
-        Z = starting_block_rank_two(inst.matrix, Ub, Vb)
-        assert Z.shape[1] <= 4
-        S, dim = orthonormal_range(commutator(inst.matrix))
-        assert Z.shape[1] == min(dim, 4)
-        assert subspace_inclusion_residual(Z, S) <= 1e-11
-
-    def test_rank_one_perturbation_rejected(self):
-        rng = np.random.default_rng(5)
-        u = unit(rng, 8)
-        Ub = np.column_stack([u, u])
-        Vb = np.column_stack([u, u])
-        with pytest.raises(ValueError):
-            starting_block_rank_two(np.eye(8), Ub, Vb)
-
     def test_antihermitian_rescaling_value(self):
         rng = np.random.default_rng(6)
         u = unit(rng, 5)
@@ -558,18 +525,11 @@ class TestLeadingPartDecomposition:
 
 
 class TestStartingBlockCurve:
-    def test_unit_circle_reduces_to_four_columns(self):
-        inst = curve_normal_plus_rank_one(12, "circle", 0)
-        u = inst.perturbation_data["u"]
-        v = inst.perturbation_data["v"]
-        Z = starting_block_curve(inst.matrix, u, v, inst.conic)
-        assert Z.shape == (12, 4)
-
     def test_parabola_needs_six_columns(self):
         inst = curve_normal_plus_rank_one(12, "parabola_arc", 0)
         u = inst.perturbation_data["u"]
         v = inst.perturbation_data["v"]
-        Z = starting_block_curve(inst.matrix, u, v, inst.conic)
+        Z = starting_block_curve(inst.matrix, u, v)
         assert Z.shape == (12, 6)
         A = inst.matrix
         cols = [u, v, A.conj().T @ u, A.conj().T @ v, A @ u, A @ v]

@@ -355,16 +355,16 @@ class TestBlocksGrow:
         assert report["blocks_grow"] is True
         assert report["residuals"]["off_profile"] <= 1e-10
 
-    def test_tiny_tol_exits_2_not_4(self, tmp_path):
-        # at tol 1e-18 roundoff passes the cut and a candidate block has more
-        # columns above it than the basis has left; the blocks fit n and grow
+    def test_tiny_tol_exits_4(self, tmp_path, capsys):
+        # below n * eps roundoff would pass the cut, so the tolerance is a
+        # contract violation, named with its floor, and nothing is written
         gen, red = tmp_path / "gen", tmp_path / "red"
         assert run("generate", "--family", "arrow", "--n", "16", "--seed", "0",
                    "--out", str(gen)) == 0
-        assert run("reduce", str(gen), "--tol", "1e-18", "--out", str(red)) == 2
-        report = load_report(red / "report.json")
-        assert report["blocks_grow"] is True
-        assert sum(report["block_sizes"]) == 16
+        capsys.readouterr()
+        assert run("reduce", str(gen), "--tol", "1e-18", "--out", str(red)) == 4
+        assert "tol must be at least n * eps = 3.553e-15" in capsys.readouterr().err
+        assert not red.exists()
 
     def test_schema_4_phase_is_not_read(self, tmp_path):
         gen = tmp_path / "gen"

@@ -315,11 +315,13 @@ def _family_rule(inst):
     u, v = data["u"], data["v"]
     if inst.family == "solved_commutator":
         return starting_block_rank_one(A, u, v)
+    if np.allclose(np.abs(data["eigenvalues"]), 1.0):  # N unitary
+        return np.column_stack([u, v, (u.conj() @ A).conj(), A @ v])
     try:
         rotate_leading_form(inst.conic)
     except LinearVarietyError:
         return np.column_stack([u, v])
-    return starting_block_curve(A, u, v, inst.conic)
+    return starting_block_curve(A, u, v)
 
 
 @pytest.mark.parametrize("build", [
@@ -349,6 +351,7 @@ def _companion_of_degree(n, seed):
 @pytest.mark.parametrize("build", [
     pytest.param(lambda n: random_unitary_plus_rank_one(n, 2), id="unitary"),
     pytest.param(lambda n: _companion_of_degree(n, 5), id="companion"),
+    pytest.param(lambda n: curve_normal_plus_rank_one(n, "circle", 2), id="circle"),
 ])
 def test_unitary_start_spans_commutator_range(build, n):
     """[x, y, A^H x, A y] spans the commutator range and reduces A into the
@@ -368,24 +371,24 @@ def test_unitary_start_spans_commutator_range(build, n):
     pytest.param(lambda: random_unitary_plus_rank_one(3, 1), "commutator", id="unitary-3"),
     pytest.param(lambda: companion([1, 0.5, 0.3]), "commutator", id="companion-2"),
     pytest.param(lambda: companion([1, 0.5, 0.3, 0.2]), "commutator", id="companion-3"),
-    pytest.param(lambda: curve_normal_plus_rank_one(4, "circle", 0), "curve", id="circle-4"),
+    pytest.param(lambda: curve_normal_plus_rank_one(4, "circle", 0), "commutator",
+                 id="circle-4"),
     pytest.param(lambda: curve_normal_plus_rank_one(4, "parabola_arc", 0), "curve",
                  id="parabola-4"),
     pytest.param(lambda: curve_normal_plus_rank_one(5, "parabola_arc", 1), "curve",
                  id="parabola-5"),
 ])
 def test_start_wider_than_n_is_its_range(build, rule):
-    """Below n = 4 (unitary, companion) or 6 (curve) the family's block can
-    have more columns than rows; block_lanczos takes its range as the first
-    block."""
+    """At the smallest sizes the family's block can have as many columns as
+    rows or more; block_lanczos takes its range as the first block."""
     inst = build()
     n = inst.matrix.shape[0]
     if rule == "commutator":
         S, dim = orthonormal_range(commutator(inst.matrix))
         S = S[:, : min(dim, 4)]
-        rule_block = np.column_stack([inst.perturbation_data[k] for k in ("x", "y")]
-                                     + [inst.matrix.conj().T @ inst.perturbation_data["x"],
-                                        inst.matrix @ inst.perturbation_data["y"]])
+        data = inst.perturbation_data
+        x, y = (data["x"], data["y"]) if "x" in data else (data["u"], data["v"])
+        rule_block = np.column_stack([x, y, inst.matrix.conj().T @ x, inst.matrix @ y])
     else:
         S = rule_block = _family_rule(inst)
     assert subspace_inclusion_residual(inst.start, rule_block) <= 1e-12

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from blocktrid import (
+    ContractError,
     DimensionError,
     NumericalError,
     antihermitian_part,
@@ -205,13 +206,20 @@ class TestBlockLanczos:
             assert fro(red.basis.conj().T @ red.basis - np.eye(3)) <= 1e-11 * np.sqrt(3)
 
     def test_tiny_tol_never_writes_past_n(self):
-        # at tol 1e-17 roundoff in the projected pair passes the cut, so a
-        # candidate can have more columns above it than the basis has left;
-        # the blocks are then noise, which `reduce` reports, but they fit
+        # below n * eps roundoff in the projected pair passes the cut and the
+        # blocks are noise, so such a tolerance is refused before the loop
         inst = arrow_hermitian_plus_rank_one(16, 0)
-        red = block_lanczos(inst.matrix, inst.start, tol=1e-17)
-        assert sum(red.block_sizes) == 16
-        assert red.basis.shape == red.trid.shape == (16, 16)
+        for tol in (1e-17, 0.99 * 16 * np.finfo(float).eps, float("nan")):
+            with pytest.raises(ContractError, match="n \\* eps"):
+                block_lanczos(inst.matrix, inst.start, tol=tol)
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_tol_at_the_floor_reduces(self, n):
+        inst = arrow_hermitian_plus_rank_one(n, 0)
+        red = block_lanczos(inst.matrix, inst.start, tol=n * np.finfo(float).eps)
+        assert sum(red.block_sizes) == n
+        assert max(red.block_sizes) <= 2
+        assert fro(red.basis.conj().T @ red.basis - np.eye(n)) <= 1e-11 * np.sqrt(n)
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
