@@ -19,20 +19,19 @@ import numpy as np
 from .errors import (
     ConicFitError,
     ContractError,
-    DimensionError,
     LinearVarietyError,
     SingularityError,
 )
 from .matcore import (
     DEFAULT_TOL,
+    _check_tol,
     _checked_svd,
-    _commutator,
-    _commutator_operands,
     _count_above,
     antihermitian_part,
     as_matrix,
+    as_pair,
     as_square,
-    as_vector,
+    as_vectors,
     commutator,
     fro,
     hermitian_part,
@@ -91,11 +90,10 @@ def certify(A, C, k: int, tol: float = DEFAULT_TOL) -> CommutatorCertificate:
     """
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
         raise ValueError(f"claimed rank k must be a non-negative integer, got {k!r}")
-    A, C = _commutator_operands(A, C)
-    scale = fro(A) ** 2
-    residual = _scaled_defect(A, C, scale)
-    delta = _commutator(A)
-    dim = _count_above(delta, tol, scale, hermitian=True)
+    A, C = as_pair(A, C)
+    residual = commutator_residual(A, C)
+    delta = commutator(A)
+    dim = _count_above(delta, tol, fro(A) ** 2, hermitian=True)
     rank_c = _count_above(C, tol)
     return CommutatorCertificate(
         perturbation=C,
@@ -114,14 +112,8 @@ def commutator_residual(A, C) -> float:
     Returns ``||commutator(A, C)||_F / ||A||_F^2``, which is unchanged when A
     and C are scaled together, and 0 for A = 0.
     """
-    A, C = _commutator_operands(A, C)
-    return _scaled_defect(A, C, fro(A) ** 2)
-
-
-def _scaled_defect(A, C, scale: float) -> float:
-    """``||commutator(A, C)||_F / scale`` for validated operands; 0 when the
-    scale is 0."""
-    return fro(_commutator(A, C)) / scale if scale else 0.0
+    scale = fro(as_square(A, "A")) ** 2
+    return fro(commutator(A, C)) / scale if scale else 0.0
 
 
 def perturbation_hermitian_rank_one(x, y) -> np.ndarray:
@@ -129,30 +121,25 @@ def perturbation_hermitian_rank_one(x, y) -> np.ndarray:
 
     The result is exactly antihermitian.
     """
-    x = as_vector(x, "x")
-    y = as_vector(y, "y")
-    if x.shape != y.shape:
-        raise DimensionError("x and y must have equal length")
+    x, y = as_vectors(x, y, ("x", "y"))
     M = np.outer(y, x.conj())
     return M - M.conj().T
 
 
-def perturbation_unitary_rank_one(unitary, x, y, tol: float = 1e-8) -> np.ndarray:
+def perturbation_unitary_rank_one(unitary, x, y) -> np.ndarray:
     """Commutator perturbation for an invertible A = U + x y^H with U unitary.
 
     Returns C = y x^H + (U^H x)(U y)^H / (1 + y^H U^H x), which equals
     A^H - A^{-1} and therefore satisfies A^H A - C A = I and
     A A^H - A C = I exactly.  Invertibility of A is equivalent to
-    1 + y^H U^H x != 0 and is checked against ``tol``.
+    1 + y^H U^H x != 0; a margin |1 + y^H U^H x| <= 1e-6, fixed for the
+    whole unitary class, raises ``SingularityError``.
     """
     U = as_square(unitary, "unitary")
-    x = as_vector(x, "x")
-    y = as_vector(y, "y")
-    if x.shape[0] != U.shape[0] or y.shape[0] != U.shape[0]:
-        raise DimensionError("x and y must match the unitary factor's size")
+    x, y = as_vectors(x, y, ("x", "y"), U.shape[0])
     Uhx = U.conj().T @ x
     denom = 1.0 + np.vdot(y, Uhx)
-    if abs(denom) <= tol:
+    if abs(denom) <= 1e-6:
         raise SingularityError(
             f"matrix is singular (|1 + y^H U^H x| = {abs(denom):.3e}); "
             "the perturbation formula is undefined"
@@ -170,10 +157,7 @@ def starting_block_rank_one(A, u, v, tol: float = 1e-8) -> np.ndarray:
     instances the reduction theorem covers.
     """
     as_matrix(A, "A")
-    u = as_vector(u, "u")
-    v = as_vector(v, "v")
-    if u.shape != v.shape:
-        raise DimensionError("u and v must have equal length")
+    u, v = as_vectors(u, v)
     nu = np.linalg.norm(u)
     if nu == 0.0:
         raise ValueError("u is zero, so the perturbation C = u v^H vanishes")
@@ -198,10 +182,7 @@ def antihermitian_rescaling(u, v) -> complex:
     as the reduction completes without breakdown (after a restart only the
     completed run is invariant for the antihermitian part).
     """
-    u = as_vector(u, "u")
-    v = as_vector(v, "v")
-    if u.shape != v.shape:
-        raise DimensionError("u and v must have equal length")
+    u, v = as_vectors(u, v)
     nu2 = np.vdot(u, u).real
     if nu2 == 0.0:
         raise ValueError("u is zero")
@@ -288,8 +269,7 @@ def conic_fit(eigenvalues, tol: float = DEFAULT_TOL) -> ConicCoefficients:
     pts = np.asarray(eigenvalues, dtype=np.complex128).ravel()
     if pts.size < 1:
         raise ValueError("at least one point is required")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     spread = np.max(np.abs(pts - pts[0])) if pts.size > 1 else 0.0
     if spread <= 1e-15 * max(1.0, np.max(np.abs(pts))):
         raise ConicFitError("degenerate input: all points coincide")
@@ -420,10 +400,7 @@ def starting_block_curve(A, u, v) -> np.ndarray:
     linearly dependent; the Lanczos driver orthonormalizes them.
     """
     A = as_matrix(A, "A")
-    u = as_vector(u, "u")
-    v = as_vector(v, "v")
-    if u.shape[0] != A.shape[0] or v.shape[0] != A.shape[0]:
-        raise DimensionError("u and v must match the matrix size")
+    u, v = as_vectors(u, v, n=A.shape[0])
     if np.linalg.norm(u) == 0.0 or np.linalg.norm(v) == 0.0:
         raise ValueError("u and v must be nonzero")
     Ah = A.conj().T

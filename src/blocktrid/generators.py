@@ -131,9 +131,10 @@ def companion(coeffs) -> GeneratedInstance:
     shift (unitary) plus a rank-one correction in the last column.
 
     ``coeffs`` lists the coefficients leading-first, so ``[1, 0, 0, 0, 1]``
-    is z^4 + 1.  When the constant coefficient is nonzero the matrix is
-    invertible and carries a closed-form perturbation certificate; otherwise
-    the certificate is unavailable.
+    is z^4 + 1.  Here |1 + y^H U^H x| equals the modulus of the constant
+    coefficient c_d, so the matrix is invertible iff c_d != 0.  It carries
+    the closed-form certificate when |c_d| clears the 1e-6 margin of
+    :func:`perturbation_unitary_rank_one`, and none otherwise.
     """
     c = np.asarray(coeffs, dtype=np.complex128).ravel()
     if c.size < 3:
@@ -150,10 +151,10 @@ def companion(coeffs) -> GeneratedInstance:
     y = np.zeros(d, dtype=np.complex128)
     y[d - 1] = 1.0
     A = shift + np.outer(x, y.conj())
-    cert = None
-    if abs(c[-1]) > 1e-12:
-        C = perturbation_unitary_rank_one(shift, x, y)
-        cert = certify(A, C, 2)
+    try:
+        cert = certify(A, perturbation_unitary_rank_one(shift, x, y), 2)
+    except SingularityError:
+        cert = None
     data = {"unitary": shift, "x": x, "y": y}
     if cert is not None:
         data["C"] = cert.perturbation
@@ -260,7 +261,7 @@ def curve_normal_plus_rank_one(n: int, curve: str, seed: int) -> GeneratedInstan
     if curve == "circle":
         start = _unitary_start(A, u, v)
         try:
-            C = perturbation_unitary_rank_one(N, u, v, tol=1e-6)
+            C = perturbation_unitary_rank_one(N, u, v)
             cert = certify(A, C, 2)
         except SingularityError:
             cert = None
@@ -288,8 +289,8 @@ def random_unitary_plus_rank_one(n: int, seed: int) -> GeneratedInstance:
     """Haar unitary plus a random rank-one modification x y^H.
 
     Draws are retried with a fresh stream while the invertibility margin
-    |1 + y^H U^H x| stays below 1e-6; sixteen failures raise
-    ``GenerationError``.
+    |1 + y^H U^H x| of :func:`perturbation_unitary_rank_one` is at most 1e-6;
+    sixteen failures raise ``GenerationError``.
     """
     if n < 2:
         raise ValueError(f"unitary instances need n >= 2, got {n}")
@@ -298,14 +299,16 @@ def random_unitary_plus_rank_one(n: int, seed: int) -> GeneratedInstance:
         U = _haar_unitary(rng, n)
         x = _unit_vector(rng, n)
         y = _unit_vector(rng, n)
-        if abs(1.0 + np.vdot(y, U.conj().T @ x)) > 1e-6:
+        try:
+            C = perturbation_unitary_rank_one(U, x, y)
             break
+        except SingularityError:
+            continue
     else:
         raise GenerationError(
             f"no invertible unitary-plus-rank-one draw in 16 attempts (seed {seed})"
         )
     A = U + np.outer(x, y.conj())
-    C = perturbation_unitary_rank_one(U, x, y, tol=1e-6)
     cert = certify(A, C, 2)
     return GeneratedInstance(
         matrix=A,

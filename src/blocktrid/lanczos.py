@@ -22,6 +22,7 @@ from .matcore import (
     DEFAULT_TOL,
     _checked_svd,
     antihermitian_part,
+    as_block,
     as_matrix,
     as_square,
     fro,
@@ -121,10 +122,7 @@ def block_lanczos(A, Z, tol: float = DEFAULT_TOL) -> BlockTridiagonalization:
         raise ContractError(
             f"tol must be at least n * eps = {floor:.3e} for n = {n}, got {tol!r}"
         )
-    Z = np.asarray(Z, dtype=np.complex128)
-    if Z.ndim == 1:
-        Z = Z[:, None]
-    Z = as_matrix(Z, "Z")
+    Z = as_block(Z, "Z")
     if Z.shape[0] != n:
         raise DimensionError(f"Z has {Z.shape[0]} rows, A is {n}x{n}")
     if fro(Z) == 0.0:

@@ -61,6 +61,35 @@ def as_square(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def as_pair(A, C, names=("A", "C")):
+    """``A`` validated by :func:`as_square` and ``C`` by :func:`as_matrix` as
+    a matrix of A's shape; ``names`` label them in errors."""
+    a, c = names
+    A = as_square(A, a)
+    C = as_matrix(C, c)
+    if C.shape != A.shape:
+        raise DimensionError(f"{c} must have {a}'s shape {A.shape}, got {C.shape}")
+    return A, C
+
+
+def as_vectors(u, v, names=("u", "v"), n=None):
+    """``u`` and ``v`` validated by :func:`as_vector` as vectors of equal
+    length, and of length ``n`` when it is given."""
+    a, b = names
+    u = as_vector(u, a)
+    v = as_vector(v, b)
+    if u.shape != v.shape or n not in (None, u.size):
+        want = "equal length" if n is None else f"length {n}"
+        raise DimensionError(f"{a} and {b} must have {want}, got {u.size} and {v.size}")
+    return u, v
+
+
+def as_block(Z, name: str = "block") -> np.ndarray:
+    """:func:`as_matrix`, with a 1-D array taken as one column."""
+    Z = np.asarray(Z, dtype=np.complex128)
+    return as_matrix(Z[:, None] if Z.ndim == 1 else Z, name)
+
+
 def fro(a) -> float:
     """Frobenius norm (2-norm for vectors).
 
@@ -96,24 +125,11 @@ def commutator(A, C=None) -> np.ndarray:
     iff A is normal.  C must be a square matrix of A's shape.
     """
     if C is None:
-        return _commutator(as_square(A, "A"))
-    return _commutator(*_commutator_operands(A, C))
-
-
-def _commutator_operands(A, C):
-    """A validated as a square matrix and C as a matrix of A's shape."""
-    A = as_square(A, "A")
-    C = as_matrix(C, "C")
-    if C.shape != A.shape:
-        raise DimensionError(f"C must have A's shape {A.shape}, got {C.shape}")
-    return A, C
-
-
-def _commutator(A, C=None) -> np.ndarray:
-    """:func:`commutator` of operands that are already validated."""
-    D = A.conj().T
-    if C is not None:
-        D = D - C
+        A = as_square(A, "A")
+        D = A.conj().T
+    else:
+        A, C = as_pair(A, C)
+        D = A.conj().T - C
     return D @ A - A @ D
 
 
@@ -274,14 +290,8 @@ def subspace_inclusion_residual(X, Y, tol: float = DEFAULT_TOL) -> float:
     projector onto range(Y); zero exactly when range(X) is numerically
     contained in range(Y).  Vectors are treated as single columns.
     """
-    X = np.asarray(X, dtype=np.complex128)
-    Y = np.asarray(Y, dtype=np.complex128)
-    if X.ndim == 1:
-        X = X[:, None]
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    X = as_matrix(X, "X")
-    Y = as_matrix(Y, "Y")
+    X = as_block(X, "X")
+    Y = as_block(Y, "Y")
     if X.shape[0] != Y.shape[0]:
         raise DimensionError(
             f"row counts differ: X has {X.shape[0]}, Y has {Y.shape[0]}"

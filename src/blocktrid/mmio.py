@@ -26,7 +26,7 @@ import warnings
 import numpy as np
 import orjson
 
-from .matcore import as_matrix
+from .matcore import as_block, as_matrix
 
 
 class MatrixMarketError(Exception):
@@ -166,10 +166,7 @@ def _read_panels(fh, entries: int, width: int, update=_ignore) -> np.ndarray | N
 
 def write_vector(path, v) -> None:
     """Write a vector as an n x 1 array file."""
-    v = np.asarray(v, dtype=np.complex128)
-    if v.ndim == 1:
-        v = v[:, None]
-    write_matrix(path, v)
+    write_matrix(path, as_block(v, "vector"))
 
 
 def read_vector(path, *, digest=None) -> np.ndarray:

@@ -17,16 +17,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .almostnormal import commutator_residual
 from .errors import ContractError, DimensionError
 from .matcore import (
     DEFAULT_TOL,
+    _check_tol,
     _checked_svd,
     _estimated_commutator_residual,
-    as_matrix,
+    as_pair,
     as_square,
-    commutator,
     fro,
 )
+
+# unused here: clibench/layers.py traces these names on this module
+from .matcore import commutator  # noqa: F401
 
 PANEL_WIDTH = 32
 
@@ -206,14 +210,11 @@ def qr_iteration_tracked(
     report's ``c_residual`` is the exact ||M||_F / ||A||_F^2 of the final
     pair (0 for A = 0), computed once after the loop, also when no step ran.
     """
-    A = as_square(A0, "A0").copy()
-    C = as_matrix(C0, "C0").copy()
-    if C.shape != A.shape:
-        raise DimensionError(f"C0 has shape {C.shape}, A0 is {A.shape}")
+    A, C = as_pair(A0, C0, ("A0", "C0"))
+    A, C = A.copy(), C.copy()
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     n = A.shape[0]
     profile = block_profile(A, tol)
     if profile.max_block > 4:
@@ -279,7 +280,6 @@ def qr_iteration_tracked(
             )
         )
         deflate()
-    norm_a = fro(A)
     return QrTrackReport(
         iterations=tuple(records),
         converged_eigenvalues=tuple(eigs),
@@ -287,5 +287,5 @@ def qr_iteration_tracked(
         final_matrix=A,
         final_perturbation=C,
         discarded_norm=discarded,
-        c_residual=fro(commutator(A, C)) / norm_a**2 if norm_a else 0.0,
+        c_residual=commutator_residual(A, C),
     )

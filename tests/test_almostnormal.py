@@ -322,6 +322,31 @@ class TestUnitaryPerturbation:
             perturbation_unitary_rank_one(np.ones((3, 2)), np.ones(3), np.ones(3))
 
 
+#: every entry point that takes a vector pair, with a 4 x 4 matrix where it
+#: needs one
+VECTOR_PAIR_ENTRY_POINTS = {
+    "perturbation_hermitian_rank_one": perturbation_hermitian_rank_one,
+    "perturbation_unitary_rank_one":
+        lambda u, v: perturbation_unitary_rank_one(np.eye(4), u, v),
+    "starting_block_rank_one": lambda u, v: starting_block_rank_one(np.eye(4), u, v),
+    "antihermitian_rescaling": antihermitian_rescaling,
+    "starting_block_curve": lambda u, v: starting_block_curve(np.eye(4), u, v),
+}
+
+
+class TestVectorPairs:
+    @pytest.mark.parametrize("name", sorted(VECTOR_PAIR_ENTRY_POINTS))
+    def test_unequal_lengths_rejected(self, name):
+        with pytest.raises(DimensionError):
+            VECTOR_PAIR_ENTRY_POINTS[name](np.ones(3), np.ones(4))
+
+    @pytest.mark.parametrize("name", ["perturbation_unitary_rank_one",
+                                      "starting_block_curve"])
+    def test_length_must_match_the_matrix(self, name):
+        with pytest.raises(DimensionError, match="must have length 4, got 3 and 3"):
+            VECTOR_PAIR_ENTRY_POINTS[name](np.ones(3), np.ones(3))
+
+
 class TestStartingBlocks:
     def test_independent_pair_passthrough(self):
         e1 = np.zeros(4)

@@ -102,6 +102,17 @@ class TestGenerate:
         assert capsys.readouterr().err.startswith("error: ")
         assert not list(tmp_path.rglob("*.mtx"))
 
+    @pytest.mark.parametrize("c", ["1e-13", "1e-10", "1e-7"])
+    def test_near_singular_companion_has_no_perturbation(self, tmp_path, c):
+        # |c_3| is inside the 1e-6 invertibility margin of the unitary class
+        out = tmp_path / "gen"
+        assert run("generate", "--family", "companion", "--coeffs", f"1,0.3,-0.2,{c}",
+                   "--out", str(out)) == 0
+        manifest = load_report(out / "manifest.json")
+        assert manifest["certificate"] is None
+        assert "perturbation" not in manifest["files"]
+        assert not (out / "C.mtx").exists()
+
     def test_zero_perturbation_writes_no_file(self, tmp_path, capsys):
         # --alpha 0 makes C = 0: the instance has nothing to start a reduction from
         out = tmp_path / "gen"
@@ -378,6 +389,43 @@ class TestBlocksGrow:
             assert run("reduce", str(gen), "--out", str(tmp_path / name)) == 0
             sizes.append(load_report(tmp_path / name / "report.json")["block_sizes"])
         assert sizes[0] == sizes[1]
+
+
+def _coeff_arg(coeffs):
+    return ",".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in np.asarray(coeffs, complex))
+
+
+def _companion_coeffs(d, seed):
+    """Leading 1, then moduli in [0.5, 1] with random phases."""
+    rng = np.random.default_rng([0xC0, seed])
+    mod = rng.uniform(0.5, 1.0, d)
+    return np.concatenate([[1.0], mod * np.exp(2j * np.pi * rng.uniform(size=d))])
+
+
+def _colleague_coeffs(d, seed):
+    """Leading 1, then values uniform in [-1, 1]."""
+    rng = np.random.default_rng([0xC1, seed])
+    return np.concatenate([[1.0], rng.uniform(-1.0, 1.0, d)])
+
+
+class TestPolynomialsAtDegree256:
+    """Companion and colleague pipelines keep their block and rank bounds at
+    degree 256, with the coefficient rules of the benchmark's sweep."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("family, max_block", [("companion", 4), ("colleague", 2)])
+    def test_pipeline(self, tmp_path, family, max_block, seed):
+        gen, red, track = tmp_path / "gen", tmp_path / "red", tmp_path / "track.json"
+        coeffs = (_companion_coeffs if family == "companion" else _colleague_coeffs)(256, seed)
+        assert run("generate", "--family", family, "--coeffs", _coeff_arg(coeffs),
+                   "--out", str(gen)) == 0
+        assert run("reduce", str(gen), "--out", str(red)) == 0
+        report = load_report(red / "report.json")
+        assert max(report["block_sizes"]) == max_block
+        assert report["blocks_grow"] is False
+        assert run("qr-track", str(red / "A_trid.mtx"), str(red / "C_trid.mtx"),
+                   "--steps", "30", "--out", str(track)) == 0
+        assert load_report(track)["within_rank_bound"] is True
 
 
 class TestVerify:

@@ -106,6 +106,18 @@ class TestCompanion:
         inst = companion([1, 2.0, 0])  # constant coefficient zero
         assert inst.certificate is None
 
+    @pytest.mark.parametrize("c, certified", [
+        (1e-13, False), (1e-10, False), (1e-7, False), (1e-5, True),
+    ])
+    def test_certificate_needs_the_unitary_margin(self, c, certified):
+        # |1 + y^H U^H x| = |c|, against the unitary class's 1e-6 margin
+        inst = companion([1, 0.3, -0.2, c])
+        assert ("C" in inst.perturbation_data) is certified
+        if certified:
+            assert inst.certificate.valid and inst.certificate.residual <= 1e-10
+        else:
+            assert inst.certificate is None
+
     def test_non_monic_rejected(self):
         with pytest.raises(ValueError):
             companion([2, 0, 1])

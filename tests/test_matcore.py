@@ -159,6 +159,43 @@ class TestCommutator:
         assert fro(commutator(A) - 2 * (H @ K - K @ H)) <= 1e-12 * fro(A) ** 2
 
 
+class TestOperandChecks:
+    def test_pair_names_its_operands(self):
+        with pytest.raises(DimensionError, match="C0 must have A0's shape"):
+            matcore.as_pair(np.eye(3), np.ones((3, 2)), ("A0", "C0"))
+        with pytest.raises(DimensionError, match="A must be square"):
+            matcore.as_pair(np.ones((3, 2)), np.ones((3, 2)))
+
+    def test_vectors_of_equal_length(self):
+        u, v = matcore.as_vectors(np.ones((3, 1)), [1, 2, 3])
+        assert u.shape == v.shape == (3,) and u.dtype == np.complex128
+        with pytest.raises(DimensionError, match="u and v must have equal length"):
+            matcore.as_vectors(np.ones(3), np.ones(4))
+
+    def test_vectors_of_a_given_length(self):
+        matcore.as_vectors(np.ones(4), np.ones(4), n=4)
+        with pytest.raises(DimensionError, match="x and y must have length 4"):
+            matcore.as_vectors(np.ones(3), np.ones(3), ("x", "y"), n=4)
+
+    def test_block_takes_a_vector_as_one_column(self):
+        assert matcore.as_block(np.arange(3)).shape == (3, 1)
+        assert matcore.as_block(np.ones((3, 2))).shape == (3, 2)
+        with pytest.raises(DimensionError, match="Z must be 2-D"):
+            matcore.as_block(np.ones((2, 2, 2)), "Z")
+
+    def test_no_module_copies_the_operand_checks(self):
+        # the equal-length, shape-pair, 1-D block and positive-tol checks
+        package = Path(blocktrid.__file__).parent
+        fragments = ("equal length", "has shape", "'s shape", "tol must be positive")
+        copies = [
+            f"{path.name}: {line.strip()}"
+            for path in package.glob("*.py") if path.name != "matcore.py"
+            for line in path.read_text(encoding="utf-8").splitlines()
+            if "ndim == 1" in line or "raise" in line and any(f in line for f in fragments)
+        ]
+        assert copies == []
+
+
 class TestSvd:
     def test_zero_matrix(self):
         res = svd(np.zeros((4, 3)))
