@@ -156,8 +156,8 @@ def starting_block_rank_one(A, u, v, tol: float = 1e-8) -> np.ndarray:
     size at most 2 (scalar tridiagonal in the dependent case) on the
     instances the reduction theorem covers.
     """
-    as_matrix(A, "A")
-    u, v = as_vectors(u, v)
+    A = as_matrix(A, "A")
+    u, v = as_vectors(u, v, n=A.shape[0])
     nu = np.linalg.norm(u)
     if nu == 0.0:
         raise ValueError("u is zero, so the perturbation C = u v^H vanishes")

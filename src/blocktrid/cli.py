@@ -33,7 +33,7 @@ import numpy as np
 import orjson
 
 from . import __version__
-from .almostnormal import ConicCoefficients, certify, commutator_residual
+from .almostnormal import certify, commutator_residual
 from .errors import ContractError, GenerationError, NumericalError, SolverFailure
 from .generators import (
     arrow_hermitian_plus_rank_one,
@@ -75,20 +75,6 @@ _CLI_FAMILIES = (
 )
 
 
-def _cplx(z) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def _conic_to_json(c: ConicCoefficients) -> dict:
-    """Every field of ``c``; complex fields as [real, imag] pairs."""
-    out = {}
-    for f in dataclasses.fields(ConicCoefficients):
-        value = getattr(c, f.name)
-        out[f.name] = _cplx(value) if f.type == "complex" else value
-    return out
-
-
 def _cert_to_json(cert) -> dict | None:
     if cert is None:
         return None
@@ -101,14 +87,22 @@ def _cert_to_json(cert) -> dict | None:
     }
 
 
+def _complex_pair(z) -> list:
+    """``z`` as its [real, imag] pair; any type but ``complex``, a complex array
+    too, raises, and orjson reports that as ``orjson.JSONEncodeError``."""
+    if isinstance(z, complex):
+        return [z.real, z.imag]
+    raise TypeError
+
+
 def _encode_json(payload) -> bytes:
     """``payload`` as indented UTF-8 JSON with sorted keys and a final newline.
 
-    orjson writes a non-finite float as ``null``; it raises
-    ``orjson.JSONEncodeError`` for an integer outside 64 bits or a string
-    that is not valid UTF-8.
+    Tuples are arrays, every complex is a [real, imag] pair (:func:`_complex_pair`)
+    and a non-finite float is ``null``; ``orjson.JSONEncodeError`` is raised for
+    an integer outside 64 bits, a string that is not valid UTF-8, or any other type.
     """
-    return orjson.dumps(payload, option=_JSON_OPTIONS) + b"\n"
+    return orjson.dumps(payload, default=_complex_pair, option=_JSON_OPTIONS) + b"\n"
 
 
 def _write_json(path, payload) -> None:
@@ -122,7 +116,7 @@ def _write_json(path, payload) -> None:
 def _print_json(payload) -> None:
     """Print ``payload`` on one line, encoded as :func:`_write_json` encodes
     it but compact; ``print`` also works on a stdout without a byte buffer."""
-    print(orjson.dumps(payload, option=_STDOUT_JSON_OPTIONS).decode())
+    print(orjson.dumps(payload, default=_complex_pair, option=_STDOUT_JSON_OPTIONS).decode())
 
 
 def _parse_coeffs(text: str) -> list[complex]:
@@ -162,7 +156,7 @@ def cmd_generate(args, argv) -> int:
     manifest["certificate"] = _cert_to_json(inst.certificate)
     manifest["instance_family"] = inst.family
     if inst.conic is not None:
-        manifest["conic"] = _conic_to_json(inst.conic)
+        manifest["conic"] = dataclasses.asdict(inst.conic)
     manifest["files"] = files
     # a manifest orjson cannot encode raises here, before any file is written
     _encode_json(manifest)
@@ -185,7 +179,7 @@ def _build_instance(args):
             raise ContractError(f"--coeffs is required for the {fam} family")
         coeffs = _parse_coeffs(args.coeffs)
         build = companion if fam == "companion" else chebyshev_colleague
-        return build(coeffs), {"coeffs": [_cplx(z) for z in coeffs]}
+        return build(coeffs), {"coeffs": coeffs}
     if fam == "curve":
         inst = curve_normal_plus_rank_one(args.n, args.curve.replace("-", "_"), args.seed)
         return inst, {"curve": args.curve}
@@ -200,7 +194,7 @@ def _build_instance(args):
         else:
             C[0, 0] = alpha
         inst = solve_commutator_equation(C, seed=args.seed)
-        return inst, {"c_kind": args.c_kind, "alpha": _cplx(alpha)}
+        return inst, {"c_kind": args.c_kind, "alpha": alpha}
     if fam == "arrow":
         return arrow_hermitian_plus_rank_one(args.n, args.seed), {}
     return random_unitary_plus_rank_one(args.n, args.seed), {}
@@ -241,6 +235,9 @@ def cmd_reduce(args, argv) -> int:
         )
     else:
         Z = read("start")
+    # every input is read before any output is written
+    has_c = manifest is not None and "perturbation" in manifest["files"]
+    C = read("perturbation") if has_c else None
     red = block_lanczos(A, Z, tol=args.tol)
     U = red.basis
     n = A.shape[0]
@@ -260,8 +257,7 @@ def cmd_reduce(args, argv) -> int:
     write_matrix(os.path.join(args.out, "U.mtx"), U)
     write_matrix(os.path.join(args.out, "A_trid.mtx"), A_trid)
     files = {"basis": "U.mtx", "matrix_trid": "A_trid.mtx"}
-    if manifest is not None and "perturbation" in manifest["files"]:
-        C = read("perturbation")
+    if has_c:
         C_trid = U.conj().T @ C @ U
         write_matrix(os.path.join(args.out, "C_trid.mtx"), C_trid)
         files["perturbation_trid"] = "C_trid.mtx"
@@ -271,8 +267,8 @@ def cmd_reduce(args, argv) -> int:
         "command": " ".join(argv),
         "tool_version": __version__,
         "inputs": inputs,
-        "block_sizes": list(sizes),
-        "breakdown_events": [list(e) for e in red.breakdown_events],
+        "block_sizes": sizes,
+        "breakdown_events": red.breakdown_events,
         "restarted": red.restarted,
         # a wider block: the instance lacks the structure behind the bound
         "blocks_grow": any(b > a for a, b in zip(sizes, sizes[1:])),
@@ -341,20 +337,10 @@ def cmd_qr_track(args, argv) -> int:
         "command": " ".join(argv),
         "tool_version": __version__,
         "inputs": inputs,
-        "initial_block_sizes": list(report.initial_profile.block_sizes),
+        "initial_block_sizes": report.initial_profile.block_sizes,
         "discarded_norm": report.discarded_norm,
-        "iterations": [
-            {
-                "step": rec.step,
-                "shift": _cplx(rec.shift),
-                "off_profile_block_ranks": list(rec.off_profile_block_ranks),
-                "rank_margin": list(rec.rank_margin),
-                "c_residual_estimate": rec.c_residual_estimate,
-                "profile_growth": rec.profile_growth,
-            }
-            for rec in report.iterations
-        ],
-        "converged_eigenvalues": [_cplx(z) for z in report.converged_eigenvalues],
+        "iterations": [dataclasses.asdict(rec) for rec in report.iterations],
+        "converged_eigenvalues": report.converged_eigenvalues,
         "c_residual": report.c_residual,
         "within_rank_bound": ok,
     }

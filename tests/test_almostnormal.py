@@ -341,6 +341,7 @@ class TestVectorPairs:
             VECTOR_PAIR_ENTRY_POINTS[name](np.ones(3), np.ones(4))
 
     @pytest.mark.parametrize("name", ["perturbation_unitary_rank_one",
+                                      "starting_block_rank_one",
                                       "starting_block_curve"])
     def test_length_must_match_the_matrix(self, name):
         with pytest.raises(DimensionError, match="must have length 4, got 3 and 3"):

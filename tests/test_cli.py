@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -9,7 +10,9 @@ import numpy as np
 import orjson
 import pytest
 
-from blocktrid.almostnormal import CommutatorCertificate, certify, commutator_residual
+from blocktrid.almostnormal import (
+    CommutatorCertificate, ConicCoefficients, certify, commutator_residual,
+)
 from blocktrid import cli, mmio
 from blocktrid.cli import main
 from blocktrid.mmio import read_matrix, write_matrix
@@ -266,6 +269,19 @@ class TestReduce:
 
     def test_missing_input_is_io_error(self, tmp_path):
         assert run("reduce", str(tmp_path / "nope"), "--out", str(tmp_path)) == 3
+
+    @pytest.mark.parametrize("damage", ["malformed", "missing"])
+    def test_bad_perturbation_writes_no_output(self, tmp_path, capsys, damage):
+        gen, red = tmp_path / "gen", tmp_path / "red"
+        assert run("generate", "--family", "arrow", "--n", "8", "--seed", "1",
+                   "--out", str(gen)) == 0
+        if damage == "malformed":
+            (gen / "C.mtx").write_text("garbage\n")
+        else:
+            (gen / "C.mtx").unlink()
+        assert run("reduce", str(gen), "--out", str(red)) == 3
+        assert "C.mtx" in capsys.readouterr().err
+        assert not red.exists() or not list(red.iterdir())
 
     def test_manifest_without_start_names_field(self, tmp_path, capsys):
         # a schema "2" manifest lists no start block
@@ -681,6 +697,66 @@ class TestEntryPoints:
         assert proc.stderr.startswith("error: ")
 
 
+def _is_pair(value):
+    return (isinstance(value, list) and len(value) == 2
+            and all(isinstance(x, float) for x in value))
+
+
+class TestComplexEncoding:
+    """Every complex value the CLI writes is an [real, imag] pair."""
+
+    def test_companion_coeffs(self, tmp_path):
+        out = tmp_path / "gen"
+        assert run("generate", "--family", "companion", "--coeffs", "1,0.5j,0,2-1j,1",
+                   "--out", str(out)) == 0
+        coeffs = load_report(out / "manifest.json")["params"]["coeffs"]
+        assert coeffs == [[1.0, 0.0], [0.0, 0.5], [0.0, 0.0], [2.0, -1.0], [1.0, 0.0]]
+
+    def test_solved_alpha(self, tmp_path):
+        out = tmp_path / "gen"
+        assert run("generate", "--family", "solved", "--n", "4", "--seed", "0",
+                   "--c-kind", "dependent", "--alpha", "2+1j", "--out", str(out)) == 0
+        params = load_report(out / "manifest.json")["params"]
+        assert params == {"c_kind": "dependent", "alpha": [2.0, 1.0]}
+
+    def test_conic_lists_every_field(self, tmp_path):
+        out = tmp_path / "gen"
+        assert run("generate", "--family", "curve", "--curve", "parabola-arc",
+                   "--n", "16", "--seed", "3", "--out", str(out)) == 0
+        conic = load_report(out / "manifest.json")["conic"]
+        assert set(conic) == {f.name for f in dataclasses.fields(ConicCoefficients)}
+        assert all(_is_pair(conic[name])
+                   for name in ("a20", "a11", "a02", "a10", "a01", "a00"))
+
+    def test_qr_track_shifts_and_eigenvalues(self, tmp_path, capsys):
+        gen, red, out = tmp_path / "gen", tmp_path / "red", tmp_path / "track.json"
+        assert run("generate", "--family", "arrow", "--n", "12", "--seed", "1",
+                   "--out", str(gen)) == 0
+        assert run("reduce", str(gen), "--out", str(red)) == 0
+        capsys.readouterr()
+        assert run("qr-track", str(red / "A_trid.mtx"), str(red / "C_trid.mtx"),
+                   "--steps", "30", "--out", str(out)) == 0
+        summary = json.loads(capsys.readouterr().out)
+        payload = load_report(out)
+        assert len(payload["iterations"]) == summary["steps_run"] > 0
+        for rec in payload["iterations"]:
+            assert set(rec) == {"step", "shift", "off_profile_block_ranks", "rank_margin",
+                                "c_residual_estimate", "profile_growth"}
+            assert _is_pair(rec["shift"])
+        eigs = payload["converged_eigenvalues"]
+        assert len(eigs) == summary["converged"] > 0
+        assert all(_is_pair(z) for z in eigs)
+
+    def test_breakdown_events_are_step_cols_pairs(self, tmp_path):
+        gen, red = tmp_path / "gen", tmp_path / "red"
+        assert run("generate", "--family", "fourier-sum", "--n", "16", "--seed", "1",
+                   "--out", str(gen)) == 0
+        assert run("reduce", str(gen), "--out", str(red)) == 0
+        events = load_report(red / "report.json")["breakdown_events"]
+        assert events
+        assert all(len(e) == 2 and all(isinstance(x, int) for x in e) for e in events)
+
+
 class TestReports:
     @pytest.fixture
     def payloads(self, monkeypatch):
@@ -704,9 +780,30 @@ class TestReports:
                    "--steps", "5", "--out", str(track)) == 0
         assert len(payloads) == 3
         for path, payload in payloads.items():
-            # what json.dump(indent=2, sort_keys=True) wrote reads back the same
-            old = json.loads(json.dumps(payload, indent=2, sort_keys=True))
+            # what the stdlib writes with the same complex rule reads back the same
+            old = json.loads(json.dumps(payload, indent=2, sort_keys=True,
+                                        default=cli._complex_pair))
             assert load_report(path) == old
+
+    @pytest.mark.parametrize("value", [0.25 - 1.5j, np.complex128(0.1 + 0.3j)])
+    def test_complex_is_a_pair(self, tmp_path, capsys, value):
+        path = tmp_path / "r.json"
+        cli._write_json(path, {"z": value, "t": (value,)})
+        pair = [value.real, value.imag]
+        assert load_report(path) == {"z": pair, "t": [pair]}
+        cli._print_json({"z": value, "t": (value,)})
+        assert json.loads(capsys.readouterr().out) == {"z": pair, "t": [pair]}
+
+    @pytest.mark.parametrize("value", [object(), np.array([1j, 2.0])],
+                             ids=["object", "complex-array"])
+    def test_unsupported_value_raises(self, tmp_path, capsys, value):
+        path = tmp_path / "r.json"
+        with pytest.raises(orjson.JSONEncodeError):
+            cli._write_json(path, {"x": value})
+        assert not path.exists()
+        with pytest.raises(orjson.JSONEncodeError):
+            cli._print_json({"x": value})
+        assert capsys.readouterr().out == ""
 
     def test_numpy_scalars_and_arrays_serialize(self, tmp_path):
         path = tmp_path / "r.json"
