@@ -339,7 +339,7 @@ def cmd_qr_track(args, argv) -> int:
         "inputs": inputs,
         "initial_block_sizes": report.initial_profile.block_sizes,
         "discarded_norm": report.discarded_norm,
-        "iterations": [dataclasses.asdict(rec) for rec in report.iterations],
+        "iterations": [vars(rec) for rec in report.iterations],
         "converged_eigenvalues": report.converged_eigenvalues,
         "c_residual": report.c_residual,
         "within_rank_bound": ok,

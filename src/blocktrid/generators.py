@@ -92,13 +92,49 @@ def _haar_unitary(rng, n: int) -> np.ndarray:
     return Q * (d / np.abs(d))
 
 
-def _unitary_start(A, x, y) -> np.ndarray:
-    """[x, y, A^H x, A y] for A = U + x y^H, U unitary: since U^H x = A^H x -
-    y ||x||^2 and U y = A y - x ||y||^2, it spans {x, y, U^H x, U y}, which
-    contains range(A^H A - A A^H).  O(n^2), without forming A^H.  The start
-    of the unitary and companion families, and of circle curve instances,
-    whose normal part is unitary."""
-    return np.column_stack([x, y, (x.conj() @ A).conj(), A @ y])
+def _hermitian_plus_rank_one(H, x, y, family, seed, data, conic=None):
+    """The Hermitian-plus-rank-one instance A = H + x y^H: its closed-form
+    C = y x^H - x y^H (:func:`perturbation_hermitian_rank_one`), certified
+    with rank 2, and the start [x, y].  ``data`` names the operands in
+    ``perturbation_data``; C is added last."""
+    A = H + np.outer(x, y.conj())
+    C = perturbation_hermitian_rank_one(x, y)
+    return GeneratedInstance(
+        matrix=A,
+        family=family,
+        perturbation_data={**data, "C": C},
+        certificate=certify(A, C, 2),
+        seed=seed,
+        start=np.column_stack([x, y]),
+        conic=conic,
+    )
+
+
+def _unitary_plus_rank_one(U, x, y, family, seed, data, conic=None):
+    """The unitary-plus-rank-one instance A = U + x y^H: its closed-form C
+    (:func:`perturbation_unitary_rank_one`), certified with rank 2 and added
+    last to ``data``, or within that formula's 1e-6 singularity margin no C
+    and no certificate.  The start [x, y, A^H x, A y] spans {x, y, U^H x,
+    U y}, since U^H x = A^H x - y ||x||^2 and U y = A y - x ||y||^2, which
+    contains range(A^H A - A A^H); it is built in O(n^2) without forming
+    A^H."""
+    A = U + np.outer(x, y.conj())
+    try:
+        C = perturbation_unitary_rank_one(U, x, y)
+    except SingularityError:
+        cert = None
+    else:
+        cert = certify(A, C, 2)
+        data = {**data, "C": C}
+    return GeneratedInstance(
+        matrix=A,
+        family=family,
+        perturbation_data=data,
+        certificate=cert,
+        seed=seed,
+        start=np.column_stack([x, y, (x.conj() @ A).conj(), A @ y]),
+        conic=conic,
+    )
 
 
 def arrow_hermitian_plus_rank_one(n: int, seed: int) -> GeneratedInstance:
@@ -114,15 +150,8 @@ def arrow_hermitian_plus_rank_one(n: int, seed: int) -> GeneratedInstance:
     H[1:, 0] = wing
     x = _unit_vector(rng, n)
     y = _unit_vector(rng, n)
-    A = H + np.outer(x, y.conj())
-    C = perturbation_hermitian_rank_one(x, y)
-    return GeneratedInstance(
-        matrix=A,
-        family="arrow_h1",
-        perturbation_data={"hermitian": H, "x": x, "y": y, "C": C},
-        certificate=certify(A, C, 2),
-        seed=seed,
-        start=np.column_stack([x, y]),
+    return _hermitian_plus_rank_one(
+        H, x, y, "arrow_h1", seed, {"hermitian": H, "x": x, "y": y}
     )
 
 
@@ -150,21 +179,8 @@ def companion(coeffs) -> GeneratedInstance:
     x[0] -= 1.0
     y = np.zeros(d, dtype=np.complex128)
     y[d - 1] = 1.0
-    A = shift + np.outer(x, y.conj())
-    try:
-        cert = certify(A, perturbation_unitary_rank_one(shift, x, y), 2)
-    except SingularityError:
-        cert = None
-    data = {"unitary": shift, "x": x, "y": y}
-    if cert is not None:
-        data["C"] = cert.perturbation
-    return GeneratedInstance(
-        matrix=A,
-        family="companion",
-        perturbation_data=data,
-        certificate=cert,
-        seed=0,
-        start=_unitary_start(A, x, y),
+    return _unitary_plus_rank_one(
+        shift, x, y, "companion", 0, {"unitary": shift, "x": x, "y": y}
     )
 
 
@@ -191,15 +207,8 @@ def chebyshev_colleague(coeffs) -> GeneratedInstance:
     x[0] *= np.sqrt(2.0)
     y = np.zeros(d, dtype=np.complex128)
     y[d - 1] = 1.0
-    A = H + np.outer(x, y.conj())
-    C = perturbation_hermitian_rank_one(x, y)
-    return GeneratedInstance(
-        matrix=A,
-        family="hermitian_h1",
-        perturbation_data={"hermitian": H, "x": x, "y": y, "C": C},
-        certificate=certify(A, C, 2),
-        seed=0,
-        start=np.column_stack([x, y]),
+    return _hermitian_plus_rank_one(
+        H, x, y, "hermitian_h1", 0, {"hermitian": H, "x": x, "y": y}
     )
 
 
@@ -256,32 +265,21 @@ def curve_normal_plus_rank_one(n: int, curve: str, seed: int) -> GeneratedInstan
     N = (Q * lam[None, :]) @ Q.conj().T
     u = _unit_vector(rng, n)
     v = _unit_vector(rng, n)
-    A = N + np.outer(u, v.conj())
-    cert = None
-    if curve == "circle":
-        start = _unitary_start(A, u, v)
-        try:
-            C = perturbation_unitary_rank_one(N, u, v)
-            cert = certify(A, C, 2)
-        except SingularityError:
-            cert = None
-    elif curve == "line":
-        start = np.column_stack([u, v])
-        C = perturbation_hermitian_rank_one(u, v)
-        cert = certify(A, C, 2)
-    else:
-        start = starting_block_curve(A, u, v)
     data = {"normal": N, "u": u, "v": v, "eigenvalues": lam}
-    if cert is not None:
-        data["C"] = cert.perturbation
+    conic = conic_fit(lam)
+    if curve == "circle":
+        return _unitary_plus_rank_one(N, u, v, "curve_normal_h1", seed, data, conic)
+    if curve == "line":
+        return _hermitian_plus_rank_one(N, u, v, "curve_normal_h1", seed, data, conic)
+    A = N + np.outer(u, v.conj())
     return GeneratedInstance(
         matrix=A,
         family="curve_normal_h1",
         perturbation_data=data,
-        certificate=cert,
+        certificate=None,
         seed=seed,
-        start=start,
-        conic=conic_fit(lam),
+        start=starting_block_curve(A, u, v),
+        conic=conic,
     )
 
 
@@ -299,24 +297,12 @@ def random_unitary_plus_rank_one(n: int, seed: int) -> GeneratedInstance:
         U = _haar_unitary(rng, n)
         x = _unit_vector(rng, n)
         y = _unit_vector(rng, n)
-        try:
-            C = perturbation_unitary_rank_one(U, x, y)
-            break
-        except SingularityError:
-            continue
-    else:
-        raise GenerationError(
-            f"no invertible unitary-plus-rank-one draw in 16 attempts (seed {seed})"
-        )
-    A = U + np.outer(x, y.conj())
-    cert = certify(A, C, 2)
-    return GeneratedInstance(
-        matrix=A,
-        family="unitary_u1",
-        perturbation_data={"unitary": U, "x": x, "y": y, "C": C},
-        certificate=cert,
-        seed=seed,
-        start=_unitary_start(A, x, y),
+        data = {"unitary": U, "x": x, "y": y}
+        inst = _unitary_plus_rank_one(U, x, y, "unitary_u1", seed, data)
+        if inst.certificate is not None:
+            return inst
+    raise GenerationError(
+        f"no invertible unitary-plus-rank-one draw in 16 attempts (seed {seed})"
     )
 
 

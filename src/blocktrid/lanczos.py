@@ -115,6 +115,22 @@ def block_lanczos(A, Z, tol: float = DEFAULT_TOL) -> BlockTridiagonalization:
     ValueError
         If Z is identically zero.
     """
+    for U, T, sizes, events in _lanczos_steps(A, Z, tol):
+        pass
+    return BlockTridiagonalization(
+        basis=U,
+        trid=T,
+        block_sizes=tuple(sizes),
+        breakdown_events=tuple(events),
+        restarted=bool(events),
+    )
+
+
+def _lanczos_steps(A, Z, tol):
+    """The recurrence of :func:`block_lanczos`, with its operand checks.
+    Yields ``(U, T, sizes, events)`` each time a diagonal block of T is
+    complete, so ``sizes`` has one more block each time; the last yield is
+    the whole reduction.  The same arrays are yielded each time."""
     A = as_square(A, "A")
     n = A.shape[0]
     floor = n * np.finfo(float).eps
@@ -147,8 +163,9 @@ def block_lanczos(A, Z, tol: float = DEFAULT_TOL) -> BlockTridiagonalization:
         Uk = U[:, start : start + width]
         AUk = A @ Uk
         T[start : start + width, start : start + width] = Uk.conj().T @ AUk
+        yield U, T, sizes, events
         if cols == n:
-            break
+            return
         pair = np.hstack((AUk, (Uk.conj().T @ A).conj().T))
         s, Vh = _append_range(U, cols, pair, cutoff)
         if s.size == 0:
@@ -162,14 +179,6 @@ def block_lanczos(A, Z, tol: float = DEFAULT_TOL) -> BlockTridiagonalization:
             sizes.append(s.size)
         start = cols
         cols += sizes[-1]
-
-    return BlockTridiagonalization(
-        basis=U,
-        trid=T,
-        block_sizes=tuple(sizes),
-        breakdown_events=tuple(events),
-        restarted=bool(events),
-    )
 
 
 def _restart_vector(U, cols):
@@ -191,15 +200,18 @@ def krylov_levels(M, Z, j_max: int, tol: float = DEFAULT_TOL):
     block Krylov space K_j(M, Z) = range([Z, M Z, ..., M^j Z]).  Returns
     ``(B, dims)`` where the level-j basis is ``B[:, :dims[j]]``: the basis of
     ``block_lanczos(M, Z, tol)`` up to its j-th block boundary, or up to its
-    first breakdown, after which the levels stay put.  The call runs the whole
-    reduction, whatever ``j_max``.
+    first breakdown, after which the levels stay put.  The run stops at level
+    ``j_max`` or at that breakdown, so columns of B past ``dims[-1]`` may be
+    left unfilled.
     """
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
-    red = block_lanczos(M, Z, tol)
-    ends = red.block_boundaries[1:]
-    stop = red.breakdown_events[0][0] if red.restarted else len(ends)
-    return red.basis, [ends[min(j, stop - 1)] for j in range(j_max + 1)]
+    for B, _, sizes, events in _lanczos_steps(M, Z, tol):
+        if events or len(sizes) > j_max:
+            break
+    ends = np.cumsum(sizes)
+    stop = events[0][0] if events else len(ends)
+    return B, [int(ends[min(j, stop - 1)]) for j in range(j_max + 1)]
 
 
 def krylov_basis(M, Z, j: int, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -13,7 +13,8 @@ import pytest
 from blocktrid.almostnormal import (
     CommutatorCertificate, ConicCoefficients, certify, commutator_residual,
 )
-from blocktrid import cli, mmio
+from blocktrid import cli, generators, mmio
+from blocktrid.errors import SingularityError
 from blocktrid.cli import main
 from blocktrid.mmio import read_matrix, write_matrix
 
@@ -115,6 +116,20 @@ class TestGenerate:
         assert manifest["certificate"] is None
         assert "perturbation" not in manifest["files"]
         assert not (out / "C.mtx").exists()
+
+    def test_unitary_without_invertible_draw_is_contract_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def always_singular(U, x, y):
+            raise SingularityError("inside the margin")
+
+        monkeypatch.setattr(generators, "perturbation_unitary_rank_one", always_singular)
+        out = tmp_path / "gen"
+        assert run("generate", "--family", "unitary", "--n", "8", "--seed", "5",
+                   "--out", str(out)) == 4
+        assert capsys.readouterr().err == (
+            "error: no invertible unitary-plus-rank-one draw in 16 attempts (seed 5)\n")
+        assert not out.exists()
 
     def test_zero_perturbation_writes_no_file(self, tmp_path, capsys):
         # --alpha 0 makes C = 0: the instance has nothing to start a reduction from

@@ -2,9 +2,12 @@ import numpy as np
 import numpy.polynomial.chebyshev as cheb
 import pytest
 
+from blocktrid import generators
 from blocktrid import (
     DimensionError,
+    GenerationError,
     LinearVarietyError,
+    SingularityError,
     SolverFailure,
     arrow_hermitian_plus_rank_one,
     block_lanczos,
@@ -23,6 +26,10 @@ from blocktrid import (
     starting_block_rank_one,
     subspace_inclusion_residual,
 )
+
+
+def _always_singular(U, x, y):
+    raise SingularityError("inside the margin")
 
 
 def nearest_match_error(got, reference):
@@ -240,6 +247,18 @@ class TestCurveNormal:
         N = inst.perturbation_data["normal"]
         assert fro(commutator(N)) <= 1e-12
 
+    def test_singular_circle_keeps_its_start(self, monkeypatch):
+        ref = curve_normal_plus_rank_one(12, "circle", 3)
+        monkeypatch.setattr(generators, "perturbation_unitary_rank_one", _always_singular)
+        inst = curve_normal_plus_rank_one(12, "circle", 3)
+        assert inst.certificate is None
+        assert "C" not in inst.perturbation_data
+        assert np.array_equal(inst.matrix, ref.matrix)
+        assert np.array_equal(inst.start, ref.start)
+        A, u, v = inst.matrix, inst.perturbation_data["u"], inst.perturbation_data["v"]
+        want = np.column_stack([u, v, A.conj().T @ u, A @ v])
+        assert fro(inst.start - want) <= 1e-14 * fro(want)
+
     def test_unknown_curve_rejected(self):
         with pytest.raises(ValueError):
             curve_normal_plus_rank_one(8, "hyperbola", 0)
@@ -271,6 +290,34 @@ class TestRandomUnitary:
         a = random_unitary_plus_rank_one(8, 1)
         b = random_unitary_plus_rank_one(8, 1)
         assert np.array_equal(a.matrix, b.matrix)
+
+    def test_singular_draws_take_the_next_stream(self, monkeypatch):
+        # the first two draws fall within the singularity margin
+        real = generators.perturbation_unitary_rank_one
+        calls = []
+
+        def singular_twice(U, x, y):
+            calls.append(U)
+            if len(calls) <= 2:
+                raise SingularityError("inside the margin")
+            return real(U, x, y)
+
+        monkeypatch.setattr(generators, "perturbation_unitary_rank_one", singular_twice)
+        inst = random_unitary_plus_rank_one(8, 4)
+        rng = generators._rng("unitary_u1", 4, (2,))
+        U = generators._haar_unitary(rng, 8)
+        x = generators._unit_vector(rng, 8)
+        y = generators._unit_vector(rng, 8)
+        assert len(calls) == 3
+        assert np.array_equal(inst.perturbation_data["unitary"], U)
+        assert np.array_equal(inst.matrix, U + np.outer(x, y.conj()))
+        assert np.array_equal(inst.perturbation_data["C"], real(U, x, y))
+        assert inst.certificate.valid
+
+    def test_always_singular_names_the_seed(self, monkeypatch):
+        monkeypatch.setattr(generators, "perturbation_unitary_rank_one", _always_singular)
+        with pytest.raises(GenerationError, match=r"16 attempts \(seed 7\)"):
+            random_unitary_plus_rank_one(8, 7)
 
 
 class TestCommutatorSolver:

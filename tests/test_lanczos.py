@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from blocktrid import lanczos
 from blocktrid import (
     ContractError,
     DimensionError,
@@ -324,6 +325,28 @@ class TestKrylovBasis:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
             krylov_basis(np.ones((3, 2)), np.ones((3, 1)), 1)
+
+    @pytest.mark.parametrize("Z, tol, error", [
+        (np.zeros((3, 1)), 1e-10, ValueError),
+        (np.ones((3, 1)), 1e-17, ContractError),
+    ])
+    def test_operand_checks_of_block_lanczos(self, Z, tol, error):
+        with pytest.raises(error):
+            krylov_levels(np.eye(3, dtype=complex), Z, 1, tol)
+
+    def test_run_stops_at_j_max(self, monkeypatch):
+        # level 1 needs one block past the start, not the whole reduction
+        inst = arrow_hermitian_plus_rank_one(256, 0)
+        append, calls = lanczos._append_range, []
+
+        def counted(*args):
+            calls.append(args[1])
+            return append(*args)
+
+        monkeypatch.setattr(lanczos, "_append_range", counted)
+        _, dims = krylov_levels(hermitian_part(inst.matrix), inst.start, 1)
+        assert dims == [2, 4]
+        assert len(calls) <= 2
 
 
 class TestKrylovInclusion:
