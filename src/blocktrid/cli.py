@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import os
 import sys
@@ -352,6 +353,7 @@ def cmd_qr_track(args, argv) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blocktrid",

@@ -2,10 +2,10 @@
 
 Matrices travel as Matrix Market dense arrays (``%%MatrixMarket matrix array
 complex general``, column-major entry order).  Each component is written as
-the shortest decimal that round-trips binary64 (orjson's formatter), so every
-value reads back bit for bit, the sign of a zero included, and
-``scipy.io.mmread`` reads the files.  Real arrays are accepted on input for
-convenience.
+the shortest decimal that round-trips binary64 (orjson's formatter, at most
+2,048 entries per call, so memory stays bounded), so every value reads back
+bit for bit, the sign of a zero included, and ``scipy.io.mmread`` reads the
+files.  Real arrays are accepted on input for convenience.
 
 Reading parses a body in the writer's layout (one entry per line, tokens
 separated by single spaces) with orjson, ``PANEL_BYTES`` of whole lines at a
@@ -37,25 +37,28 @@ _BANNER = "%%MatrixMarket matrix array complex general\n"
 
 # bytes of whole body lines parsed per orjson call
 PANEL_BYTES = 1 << 16
+_WRITE_ENTRIES = 2048  # matrix entries formatted per orjson call by the writer
 _NUMBER_BYTES = b"0123456789.eE+-"
 _TO_COMMAS = bytes.maketrans(b" \n", b",,")
 
 
 def write_matrix(path, M) -> None:
-    """Write a dense complex matrix as a Matrix Market array file.
-
-    Columns are formatted one at a time, so at most one column's text is held
-    in memory.
-    """
+    """Write a dense complex matrix as a Matrix Market array file, at most
+    2,048 entries (whole columns) per orjson call, so memory stays bounded."""
     M = as_matrix(M)
     rows, cols = M.shape
+    width = max(1, _WRITE_ENTRIES // rows)
     with open(path, "wb") as fh:
         fh.write(f"{_BANNER}{rows} {cols}\n".encode("ascii"))
-        for j in range(cols):
-            parts = np.ascontiguousarray(M[:, j]).view(np.float64).reshape(rows, 2)
-            # [[re,im],[re,im],...] -> "re im\nre im\n..."
-            text = orjson.dumps(parts, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2]
-            fh.write(text.replace(b"],[", b"\n").replace(b",", b" ") + b"\n")
+        for j in range(0, cols, width):
+            parts = np.ascontiguousarray(M[:, j:j + width].T).view(np.float64).reshape(-1)
+            # [re,im,re,im,...] -> "re im\nre im\n...", "]" ending the last line
+            text = bytearray(orjson.dumps(parts, option=orjson.OPT_SERIALIZE_NUMPY))
+            codes = np.frombuffer(text, np.uint8)
+            commas = np.flatnonzero(codes == ord(","))
+            codes[commas[0::2]] = ord(" ")
+            codes[commas[1::2]] = codes[-1] = ord("\n")
+            fh.write(codes[1:])
 
 
 def read_matrix(path, *, digest=None) -> np.ndarray:

@@ -706,6 +706,26 @@ class TestEntryPoints:
         proc = launch("--version")
         assert (proc.returncode, proc.stdout) == (0, "0.1.0\n")
 
+    def test_one_parser_serves_every_call(self, launch, tmp_path, capsys):
+        """The parser is built once per process, and an argparse exit leaves
+        it as it was: a rejected ``generate`` then a good one, in one process,
+        exit and print as in fresh processes."""
+        assert cli.build_parser() is cli.build_parser()
+        bad = ("generate", "--family", "nope", "--out", str(tmp_path / "bad"))
+        good = ("generate", "--family", "arrow", "--n", "8", "--seed", "3",
+                "--out", str(tmp_path / "good"))
+        with pytest.raises(SystemExit) as rejected:
+            run(*bad)
+        assert rejected.value.code == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert run(*good) == 0
+        out = capsys.readouterr().out
+        fresh_bad, fresh_good = launch(*bad), launch(*good)
+        # the usage lines above the error wrap to the terminal's width
+        assert (fresh_bad.returncode, fresh_bad.stderr.splitlines()[-1]) == (2, error)
+        assert (fresh_good.returncode, fresh_good.stdout) == (0, out)
+        assert not (tmp_path / "bad").exists()
+
     def test_missing_file_is_io_error(self, launch, tmp_path):
         proc = launch("spy", str(tmp_path / "nope.mtx"))
         assert proc.returncode == 3

@@ -5,6 +5,7 @@ import tracemalloc
 import warnings
 
 import numpy as np
+import orjson
 import pytest
 import scipy.io
 from hypothesis import given, settings
@@ -83,8 +84,12 @@ def test_any_finite_array_round_trips(tmp_path_factory, parts):
     assert np.array_equal(scipy.io.mmread(path), M)
 
 
-def test_write_streams_one_column_at_a_time(tmp_path):
-    M = crandn(np.random.default_rng(11), 256, 256)
+@pytest.mark.parametrize("n", [256, 1024])
+def test_write_formats_bounded_chunks(tmp_path, n):
+    """The writer holds one chunk's text, never the body's: under the
+    matrix's own size, and under 2 MiB whatever n is (at 1024 the body is
+    about 40 MiB of text)."""
+    M = crandn(np.random.default_rng(11), n, n)
     tracemalloc.start()
     try:
         write_matrix(tmp_path / "big.mtx", M)
@@ -92,6 +97,49 @@ def test_write_streams_one_column_at_a_time(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < M.nbytes
+    assert peak < 2 << 20
+
+
+def oracle_text(M):
+    """The writer's bytes, built one component at a time: the banner, the
+    size line, then ``re im`` per entry in column-major order, each
+    component as orjson writes a lone float."""
+    lines = [
+        orjson.dumps(float(z.real)) + b" " + orjson.dumps(float(z.imag)) + b"\n"
+        for z in M.ravel(order="F").tolist()
+    ]
+    head = f"{BANNER}\n{M.shape[0]} {M.shape[1]}\n".encode("ascii")
+    return head + b"".join(lines)
+
+
+EDGE_ENTRIES = (EDGE_VALUES + 1j * EDGE_VALUES[::-1]).tolist() + [
+    complex(-0.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0),
+    complex(1e-5, -123456.789), complex(-1e16, 5e-324),
+]
+
+
+@pytest.mark.parametrize(
+    "shape", [(2049, 1), (1, 2049), (700, 3), (3, 1000), (2048, 2), (1, 1)]
+)
+def test_write_matches_per_component_oracle(tmp_path, shape):
+    """Shapes whose columns straddle the writer's 2,048-entry chunks, with
+    edge values and signed zeros scattered through them."""
+    rng = np.random.default_rng(shape[0] * 7 + shape[1])
+    M = crandn(rng, *shape) * 10.0 ** rng.integers(-300, 300, shape)
+    flat = M.reshape(-1)
+    spots = rng.choice(flat.size, min(flat.size, len(EDGE_ENTRIES)), replace=False)
+    flat[spots] = EDGE_ENTRIES[:spots.size]
+    path = tmp_path / "m.mtx"
+    write_matrix(path, M)
+    assert path.read_bytes() == oracle_text(M)
+
+
+def test_write_matches_oracle_on_edge_values(tmp_path):
+    edges = np.array(EDGE_ENTRIES)
+    path = tmp_path / "e.mtx"
+    for M in (edges[None, :], edges[:, None], np.full((5, 5), complex(-0.0, -0.0))):
+        write_matrix(path, M)
+        assert path.read_bytes() == oracle_text(M)
 
 
 def foreign(path, text):
