@@ -2,10 +2,10 @@
 
 Matrices travel as Matrix Market dense arrays (``%%MatrixMarket matrix array
 complex general``, column-major entry order).  Each component is written as
-the shortest decimal that round-trips binary64 (orjson's formatter, at most
-2,048 entries per call, so memory stays bounded), so every value reads back
-bit for bit, the sign of a zero included, and ``scipy.io.mmread`` reads the
-files.  Real arrays are accepted on input for convenience.
+the shortest decimal that round-trips binary64 (orjson's formatter, whole
+columns per call, up to 2,048 entries or one longer column, so memory stays
+bounded); every value reads back bit for bit, the sign of a zero included,
+and ``scipy.io.mmread`` reads the files.  Real arrays are accepted on input.
 
 Reading parses a body in the writer's layout (one entry per line, tokens
 separated by single spaces) with orjson, ``PANEL_BYTES`` of whole lines at a
@@ -37,14 +37,14 @@ _BANNER = "%%MatrixMarket matrix array complex general\n"
 
 # bytes of whole body lines parsed per orjson call
 PANEL_BYTES = 1 << 16
-_WRITE_ENTRIES = 2048  # matrix entries formatted per orjson call by the writer
+_WRITE_ENTRIES = 2048  # entries per orjson call of the writer, unless one column has more
 _NUMBER_BYTES = b"0123456789.eE+-"
 _TO_COMMAS = bytes.maketrans(b" \n", b",,")
 
 
 def write_matrix(path, M) -> None:
-    """Write a dense complex matrix as a Matrix Market array file, at most
-    2,048 entries (whole columns) per orjson call, so memory stays bounded."""
+    """Write a dense complex matrix as a Matrix Market array file, whole
+    columns per orjson call: up to 2,048 entries, or one longer column."""
     M = as_matrix(M)
     rows, cols = M.shape
     width = max(1, _WRITE_ENTRIES // rows)

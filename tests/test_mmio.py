@@ -87,8 +87,8 @@ def test_any_finite_array_round_trips(tmp_path_factory, parts):
 @pytest.mark.parametrize("n", [256, 1024])
 def test_write_formats_bounded_chunks(tmp_path, n):
     """The writer holds one chunk's text, never the body's: under the
-    matrix's own size, and under 2 MiB whatever n is (at 1024 the body is
-    about 40 MiB of text)."""
+    matrix's own size, and under a fixed 2 MiB (at 1024 the body is about
+    40 MiB of text)."""
     M = crandn(np.random.default_rng(11), n, n)
     tracemalloc.start()
     try:
@@ -126,9 +126,8 @@ def test_write_matches_per_component_oracle(tmp_path, shape):
     edge values and signed zeros scattered through them."""
     rng = np.random.default_rng(shape[0] * 7 + shape[1])
     M = crandn(rng, *shape) * 10.0 ** rng.integers(-300, 300, shape)
-    flat = M.reshape(-1)
-    spots = rng.choice(flat.size, min(flat.size, len(EDGE_ENTRIES)), replace=False)
-    flat[spots] = EDGE_ENTRIES[:spots.size]
+    spots = rng.choice(M.size, min(M.size, len(EDGE_ENTRIES)), replace=False)
+    M.flat[spots] = EDGE_ENTRIES[:spots.size]
     path = tmp_path / "m.mtx"
     write_matrix(path, M)
     assert path.read_bytes() == oracle_text(M)
