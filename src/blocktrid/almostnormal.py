@@ -55,8 +55,8 @@ class CommutatorCertificate:
 
     ``range_basis`` is an orthonormal n x ``range_dim`` basis of
     S = range(Delta(A)), the leading eigenvectors of Delta(A) by modulus.  It
-    is computed on first read from the Delta(A) the certificate keeps, and
-    cached.
+    is computed on first read from the A the certificate refers to (it keeps
+    no n x n Delta(A)), and cached.
     """
 
     perturbation: np.ndarray
@@ -65,11 +65,11 @@ class CommutatorCertificate:
     range_dim: int
     perturbation_rank: int
     valid: bool
-    _delta: np.ndarray = field(repr=False, compare=False)
+    _matrix: np.ndarray = field(repr=False, compare=False)
 
     @cached_property
     def range_basis(self) -> np.ndarray:
-        left = _checked_svd(self._delta, hermitian=True)[0]
+        left = _checked_svd(commutator(self._matrix), hermitian=True)[0]
         return left[:, : self.range_dim].copy()
 
 
@@ -92,8 +92,7 @@ def certify(A, C, k: int, tol: float = DEFAULT_TOL) -> CommutatorCertificate:
         raise ValueError(f"claimed rank k must be a non-negative integer, got {k!r}")
     A, C = as_pair(A, C)
     residual = commutator_residual(A, C)
-    delta = commutator(A)
-    dim = _count_above(delta, tol, fro(A) ** 2, hermitian=True)
+    dim = _count_above(commutator(A), tol, fro(A) ** 2, hermitian=True)
     rank_c = _count_above(C, tol)
     return CommutatorCertificate(
         perturbation=C,
@@ -102,7 +101,7 @@ def certify(A, C, k: int, tol: float = DEFAULT_TOL) -> CommutatorCertificate:
         range_dim=dim,
         perturbation_rank=rank_c,
         valid=bool(residual <= tol and rank_c <= k),
-        _delta=delta,
+        _matrix=A,
     )
 
 

@@ -15,7 +15,8 @@ rules.  A block wider than the one before it means the instance lacks the
 structure behind the family's block bound, and ``reduce`` exits 2.
 
 Exit codes: 0 success, 2 verification failure, 3 I/O error, 4 contract
-violation or numerical failure (a solver or SVD that does not converge).
+violation, numerical failure (a solver or SVD that does not converge) or a
+size that does not fit in memory.
 All reports are JSON with a fixed schema version and relative residuals;
 complex numbers are encoded as [real, imag] pairs.
 """
@@ -430,6 +431,9 @@ def main(argv=None) -> int:
     except (ValueError, GenerationError, NumericalError, SolverFailure,
             orjson.JSONEncodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONTRACT
+    except MemoryError as exc:
+        print(f"error: {args.command} ran out of memory: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
 
 

@@ -16,6 +16,7 @@ A^H A - A A^H = C A - A C that the whole package is about.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,12 +191,15 @@ SKETCH_COLUMNS = 8
 _SKETCH_SEED = 0x5CE7C8
 
 
+@functools.lru_cache(maxsize=8)
 def _sketch(rows: int) -> np.ndarray:
     """The package's one sketch: a fixed-seed rows x ``SKETCH_COLUMNS``
     complex Gaussian block with standard normal real and imaginary parts,
-    so E|g|^2 = 2."""
+    so E|g|^2 = 2.  Drawn once per size and cached, hence read-only."""
     rng = np.random.default_rng(_SKETCH_SEED)
-    return rng.standard_normal((rows, 2 * SKETCH_COLUMNS)).view(np.complex128)
+    G = rng.standard_normal((rows, 2 * SKETCH_COLUMNS)).view(np.complex128)
+    G.flags.writeable = False
+    return G
 
 
 def _estimated_commutator_residual(A, C) -> float:

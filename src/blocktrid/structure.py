@@ -33,6 +33,10 @@ from .matcore import (
 from .matcore import commutator  # noqa: F401
 
 PANEL_WIDTH = 32
+# Stacks of at least this many entries take the rank sweep's SVD from the R
+# factor of their adjoint; below it the thin SVD of the stack is faster (one
+# BLAS thread, q x N complex stacks with q = 3..6 break even at q N ~ 400-510).
+_WIDE_STACK = 512
 
 
 @dataclass(frozen=True)
@@ -193,9 +197,13 @@ def qr_iteration_tracked(
     at cutoff tol * ||A_0||_F.  Every upper block outside the profile lies in
     one of them.  One nested sweep gives all p - 2 ranks: W, the kept row
     space of the previous submatrix scaled by its singular values, loses the
-    columns of block i + 2 and gains block row i beneath it, and the thin
-    SVD of that stack of at most rank + max_block rows yields the next rank
-    and W.  ``rank_margin`` is the largest singular value the sweep dropped
+    columns of block i + 2 and gains block row i beneath it, and the SVD of
+    that q x N stack S (q <= rank + max_block) yields the next rank k and W.
+    A wide stack (q N >= 512, ``_WIDE_STACK``) is decomposed through the
+    small R factor of its adjoint, S = R^H Q^H, whose SVD has S's singular
+    values and left vectors (Chan's R-SVD), and W = U_k^H S; a narrow one by
+    its thin SVD, and W = diag(s_k) V_k^H, the same rows up to roundoff.
+    ``rank_margin`` is the largest singular value the sweep dropped
     and the smallest it kept, in units of the cutoff (None for an empty
     side).  ``profile_growth`` is ||A_k||_F outside the envelope over
     ||A_k||_F.  Trailing eigenvalues deflate while the last active row left
@@ -241,15 +249,18 @@ def qr_iteration_tracked(
         ranks, dropped, kept = [], [], []
         W = A[:0, bounds[1] :]
         for r0, r1, c2 in zip(bounds, bounds[1:], bounds[2:-1]):
-            _, s, Vh = _checked_svd(
-                np.concatenate((W[:, c2 - r1 :], A[r0:r1, c2:])), full_matrices=False
+            S = np.concatenate((W[:, c2 - r1 :], A[r0:r1, c2:]))
+            wide = S.size >= _WIDE_STACK
+            U, s, Vh = _checked_svd(
+                np.linalg.qr(S.conj().T, mode="r").conj().T if wide else S,
+                full_matrices=False,
             )
             sv = s.tolist()
             k = sum(x > cut for x in sv)
             ranks.append(k)
             dropped += sv[k : k + 1]
             kept += sv[k - 1 : k]
-            W = s[:k, None] * Vh[:k]
+            W = U[:, :k].conj().T @ S if wide else s[:k, None] * Vh[:k]
         return tuple(ranks), (
             max(dropped) / cut if dropped else None,
             min(kept) / cut if kept else None,

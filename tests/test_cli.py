@@ -731,6 +731,30 @@ class TestEntryPoints:
         assert proc.returncode == 3
         assert proc.stderr.startswith("error: ")
 
+    def test_size_beyond_memory_is_contract_error(self, tmp_path):
+        """Under a 2 GiB address-space limit, set in the child alone, an
+        n = 20000 arrow instance (6.4 GB per dense complex matrix) exits 4
+        with one ``error:`` line naming the command, and writes nothing."""
+        resource = pytest.importorskip("resource")
+        limit = 2 << 30
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+        out = tmp_path / "gen"
+        proc = subprocess.run(
+            [sys.executable, "-m", "blocktrid", "generate", "--family", "arrow",
+             "--n", "20000", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120, preexec_fn=cap)
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr.startswith("error: generate ran out of memory: ")
+        assert len(proc.stderr.splitlines()) == 1
+        assert "20000" in proc.stderr
+        assert not out.exists()
+
 
 def _is_pair(value):
     return (isinstance(value, list) and len(value) == 2

@@ -378,6 +378,21 @@ class TestCountAbove:
         assert matcore._count_above(M, tol, scale) == full_count(M, tol, scale)
 
 
+@pytest.mark.parametrize("rows", [1, 64, 257])
+def test_sketch_is_drawn_once_per_size(rows):
+    """The fixed sketch is cached per size: the second call returns the same
+    read-only array, equal to a fresh draw from the fixed seed."""
+    G = matcore._sketch(rows)
+    rng = np.random.default_rng(matcore._SKETCH_SEED)
+    fresh = rng.standard_normal((rows, 2 * matcore.SKETCH_COLUMNS)).view(np.complex128)
+    assert np.array_equal(G, fresh)
+    assert G.shape == (rows, matcore.SKETCH_COLUMNS)
+    assert not G.flags.writeable
+    with pytest.raises(ValueError):
+        G[0, 0] = 0
+    assert matcore._sketch(rows) is G
+
+
 class TestOrthonormalRange:
     def test_single_canonical_vector(self):
         e1 = np.zeros((4, 1))

@@ -80,14 +80,54 @@ def hermitian_tridiagonal(n, seed):
     return T, T @ T
 
 
+def maximal_singular_values(A, sizes):
+    """Singular values of A[:r_{i+1}, c_{i+2}:], block row by block row, from
+    one direct SVD each."""
+    b = np.cumsum((0,) + tuple(sizes))
+    return [
+        np.linalg.svd(A[: b[i + 1], b[i + 2] :], compute_uv=False)
+        for i in range(len(sizes) - 2)
+    ]
+
+
 def maximal_ranks(A, sizes, cut):
     """Ranks at ``cut`` of A[:r_{i+1}, c_{i+2}:], block row by block row, from
     one direct SVD each."""
-    b = np.cumsum((0,) + tuple(sizes))
     return tuple(
-        int(np.count_nonzero(np.linalg.svd(A[: b[i + 1], b[i + 2] :], compute_uv=False) > cut))
-        for i in range(len(sizes) - 2)
+        int(np.count_nonzero(s > cut)) for s in maximal_singular_values(A, sizes)
     )
+
+
+def sweep_svd_shapes(rep, n):
+    """The shape of each matrix the rank sweep of ``rep`` hands to the SVD,
+    step by step: block row i stacks the kept rows of row i - 1 over its own
+    rows, a q x N stack with q = rank_{i-1} + b_i and N = n - c_{i+2}.  A
+    wide stack (q N >= ``structure._WIDE_STACK``) goes in as its q x min(q, N)
+    factor R^H, a narrow one as itself."""
+    sizes = rep.initial_profile.block_sizes
+    starts = np.cumsum((0,) + sizes).tolist()
+    shapes = []
+    for rec in rep.iterations:
+        for i, rank in enumerate(rec.off_profile_block_ranks):
+            q = (rec.off_profile_block_ranks[i - 1] if i else 0) + sizes[i]
+            N = n - starts[i + 2]
+            wide = q * N >= structure._WIDE_STACK
+            shapes.append(((q, min(q, N)) if wide else (q, N), wide))
+    return shapes
+
+
+@pytest.fixture
+def sweep_shapes(monkeypatch):
+    """Shapes of the matrices the QR tracker's rank sweep decomposes."""
+    seen = []
+    checked = structure._checked_svd
+
+    def record(M, **kwargs):
+        seen.append(M.shape)
+        return checked(M, **kwargs)
+
+    monkeypatch.setattr(structure, "_checked_svd", record)
+    return seen
 
 
 def tracked_against_direct_ranks(A, C):
@@ -472,6 +512,39 @@ class TestQrIterationTracked:
             assert dropped is None or dropped <= 1.0
             assert kept is not None and kept > 1.0
         assert any(rec.rank_margin[0] is not None for rec in rep.iterations)
+
+    def test_wide_stacks_take_the_r_factor(self, sweep_shapes):
+        """At n = 256 the sweep meets both wide stacks, decomposed through
+        their R factor, and narrow ones, decomposed whole.  At steps 1, 10 and
+        30 the smallest kept value is that of direct SVDs of the maximal
+        submatrices to 1e-10 relative, and so are the ranks."""
+        A_trid, C_trid = reduced_unitary(256, 1)
+        n = A_trid.shape[0]
+        rep = qr_iteration_tracked(A_trid, C_trid, 30)
+        expected = sweep_svd_shapes(rep, n)
+        assert sweep_shapes == [shape for shape, _ in expected]
+        assert {wide for _, wide in expected} == {True, False}
+        cut = 1e-10 * fro(A_trid)
+        sizes = rep.initial_profile.block_sizes
+        for step in (1, 10, 30):
+            iterate = qr_iteration_tracked(A_trid, C_trid, step).final_matrix
+            values = maximal_singular_values(iterate, sizes)
+            rec = rep.iterations[step - 1]
+            assert rec.off_profile_block_ranks == tuple(
+                int(np.count_nonzero(s > cut)) for s in values
+            )
+            smallest_kept = min(s[s > cut].min() for s in values if s[0] > cut)
+            np.testing.assert_allclose(rec.rank_margin[1], smallest_kept / cut,
+                                       rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("family", ["arrow", "unitary"])
+    def test_no_wide_stack_at_n_64(self, sweep_shapes, family):
+        inst = {"arrow": arrow_hermitian_plus_rank_one,
+                "unitary": random_unitary_plus_rank_one}[family](64, 3)
+        rep = qr_iteration_tracked(*reduced_from_commutator_range(inst), 30)
+        expected = sweep_svd_shapes(rep, 64)
+        assert expected and sweep_shapes == [shape for shape, _ in expected]
+        assert not any(wide for _, wide in expected)
 
     def test_dense_input_rejected(self):
         rng = np.random.default_rng(2)
