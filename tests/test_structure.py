@@ -108,8 +108,9 @@ def sweep_svd_shapes(rep, n):
     starts = np.cumsum((0,) + sizes).tolist()
     shapes = []
     for rec in rep.iterations:
-        for i, rank in enumerate(rec.off_profile_block_ranks):
-            q = (rec.off_profile_block_ranks[i - 1] if i else 0) + sizes[i]
+        ranks = (0,) + rec.off_profile_block_ranks
+        for i in range(len(ranks) - 1):
+            q = ranks[i] + sizes[i]
             N = n - starts[i + 2]
             wide = q * N >= structure._WIDE_STACK
             shapes.append(((q, min(q, N)) if wide else (q, N), wide))
