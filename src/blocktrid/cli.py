@@ -248,22 +248,29 @@ def cmd_reduce(args, argv) -> int:
     similarity = fro(A_trid - red.trid)
     sizes = red.block_sizes
     off_profile = off_profile_residual(A_trid, sizes)
+    gram = U.conj().T @ U
+    gram.flat[:: n + 1] -= 1
+    unitarity = fro(gram) / np.sqrt(n)
+    del gram  # not held while C_trid is formed
     residuals = {
-        "unitarity": fro(U.conj().T @ U - np.eye(n)) / np.sqrt(n),
+        "unitarity": unitarity,
         # relative to ||A||_F; the zero matrix has zero residuals
         "similarity": similarity / norm_a if norm_a else 0.0,
         "off_profile": off_profile / norm_a if norm_a else 0.0,
         "certificate": None,
     }
-    os.makedirs(args.out, exist_ok=True)
-    write_matrix(os.path.join(args.out, "U.mtx"), U)
-    write_matrix(os.path.join(args.out, "A_trid.mtx"), A_trid)
     files = {"basis": "U.mtx", "matrix_trid": "A_trid.mtx"}
     if has_c:
         C_trid = U.conj().T @ C @ U
-        write_matrix(os.path.join(args.out, "C_trid.mtx"), C_trid)
+        del C  # C_trid takes its place in memory during the writes below
         files["perturbation_trid"] = "C_trid.mtx"
         residuals["certificate"] = commutator_residual(A_trid, C_trid)
+    # every output is formed before the first is written
+    os.makedirs(args.out, exist_ok=True)
+    write_matrix(os.path.join(args.out, "U.mtx"), U)
+    write_matrix(os.path.join(args.out, "A_trid.mtx"), A_trid)
+    if has_c:
+        write_matrix(os.path.join(args.out, "C_trid.mtx"), C_trid)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": " ".join(argv),

@@ -202,30 +202,45 @@ def _sketch(rows: int) -> np.ndarray:
     return G
 
 
-def _estimated_commutator_residual(A, C) -> float:
-    """``||M G||_F / sqrt(2 s) / ||A||_F^2`` with M = commutator(A, C) and G
-    the n x s :func:`_sketch`, for validated row-major A and C.
+def _estimated_commutator_residual(A, L, R) -> float:
+    """``||M G||_F / sqrt(2 s) / ||A||_F^2`` with M = commutator(A, L R^H)
+    and G the n x s :func:`_sketch`, for validated row-major A and n x k
+    factors L and R of the perturbation.
 
     As E||M G||_F^2 = 2 s ||M||_F^2, this estimates the relative residual
-    ||M||_F / ||A||_F^2 of a nonzero A in O(n^2 s) work:
-    M G = A^H (A G) - C (A G) - A (A^H G - C G) takes six products of n x n
-    by n x s, each adjoint product as (X^H A)^H so that A^H is never copied.
+    ||M||_F / ||A||_F^2 of a nonzero A in O(n^2 s + n k s) work:
+    M G = A^H (A G) - C (A G) - A (A^H G - C G) takes four products of n x n
+    by n x s, each adjoint product as (X^H A)^H so that A^H is never copied,
+    and forms C W as L (R^H W), so that C is never formed.
     """
     G = _sketch(A.shape[0])
     s = G.shape[1]
     W = np.hstack((A @ G, G))
     AhW = (W.conj().T @ A).conj().T
-    CW = C @ W
+    CW = L @ (R.conj().T @ W)
     MG = AhW[:, :s] - CW[:, :s] - A @ (AhW[:, s:] - CW[:, s:])
     return fro(MG) / np.sqrt(2 * s) / fro(A) ** 2
+
+
+def _sketch_basis(M):
+    """Q = qr(M G)[0], B = Q^H M and e = ||M - Q B||_F for a validated M
+    with more than ``SKETCH_COLUMNS`` columns and G the :func:`_sketch` of
+    its column count: the rank-``SKETCH_COLUMNS`` sketch M = Q B + E, with
+    its a-posteriori error (Halko, Martinsson & Tropp, SIAM Rev. 53, 2011)."""
+    Q = np.linalg.qr(M @ _sketch(M.shape[1]))[0]
+    B = Q.conj().T @ M
+    E = Q @ B
+    E -= M  # -E, one n x n temporary
+    return Q, B, fro(E)
 
 
 def _count_above(M, tol: float, scale=None, hermitian: bool = False) -> int:
     """``_count_rule`` of the singular values of a validated M, proven from a
     rank-``SKETCH_COLUMNS`` sketch when it can be, else from all of them.
 
-    With G a fixed-seed complex Gaussian n x 8 block, Q = qr(M G),
-    B = Q^H M and E = M - Q B, Q^H E = 0 gives M^H M = B^H B + E^H E, so
+    With G a fixed-seed complex Gaussian n x 8 block and
+    :func:`_sketch_basis`'s Q = qr(M G), B = Q^H M and E = M - Q B,
+    Q^H E = 0 gives M^H M = B^H B + E^H E, so
     sigma_i(B) <= sigma_i(M) <= sigma_i(B) + ||E||_2 (sigma_i(B) = 0 past
     the eighth).  With e = ||E||_F plus a slack of 64 eps sqrt(n) ||M||_F
     for the rounding of the sketch and of the full spectrum it stands in
@@ -242,10 +257,8 @@ def _count_above(M, tol: float, scale=None, hermitian: bool = False) -> int:
     if norm == 0.0:
         return 0
     if min(M.shape) > SKETCH_COLUMNS and 1e-250 < norm < 1e250:
-        Q = np.linalg.qr(M @ _sketch(M.shape[1]))[0]
-        B = Q.conj().T @ M
-        eps = np.finfo(np.float64).eps
-        e = fro(M - Q @ B) + 64 * eps * np.sqrt(max(M.shape)) * norm
+        _, B, e = _sketch_basis(M)
+        e += 64 * np.finfo(np.float64).eps * np.sqrt(max(M.shape)) * norm
         s = _checked_svd(B, compute_uv=False)
         if scale is None:
             low, high = tol * (s[0] - e), tol * (s[0] + e)

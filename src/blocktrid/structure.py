@@ -21,9 +21,11 @@ from .almostnormal import commutator_residual
 from .errors import ContractError, DimensionError
 from .matcore import (
     DEFAULT_TOL,
+    SKETCH_COLUMNS,
     _check_tol,
     _checked_svd,
     _estimated_commutator_residual,
+    _sketch_basis,
     as_pair,
     as_square,
     fro,
@@ -62,7 +64,8 @@ def _column_reach(T: np.ndarray, thr: float) -> np.ndarray:
     """For each column j, the last row index where T or T^T exceeds thr
     (at least j itself)."""
     n = T.shape[0]
-    big = np.maximum(np.abs(T), np.abs(T).T) > thr
+    absT = np.abs(T)
+    big = np.maximum(absT, absT.T) > thr
     rows = np.where(big, np.arange(n)[:, None], -1)
     return np.maximum(rows.max(axis=0), np.arange(n))
 
@@ -141,7 +144,8 @@ class QrStepRecord:
 class QrTrackReport:
     """``discarded_norm`` is the Frobenius norm of the fill below the initial
     envelope that was zeroed before the first step; ``c_residual`` is the
-    exact commutator residual of the final pair."""
+    exact commutator residual of the final pair, and ``final_perturbation``
+    the product L R^H of the tracked ``perturbation_factors`` (L, R)."""
 
     iterations: tuple[QrStepRecord, ...]
     converged_eigenvalues: tuple[complex, ...]
@@ -150,6 +154,7 @@ class QrTrackReport:
     final_perturbation: np.ndarray
     discarded_norm: float
     c_residual: float
+    perturbation_factors: tuple[np.ndarray, np.ndarray]
 
 
 def _wilkinson_shift(block) -> complex:
@@ -161,15 +166,40 @@ def _wilkinson_shift(block) -> complex:
     return complex(mu1) if abs(mu1 - d) <= abs(mu2 - d) else complex(mu2)
 
 
-def _banded_qr_step(A, C, m, band):
-    """In place A <- Q^H A Q, C <- Q^H C Q for QR = A[:m, :m], by panels."""
+def _perturbation_factors(C) -> np.ndarray:
+    """F = [L, R] with C = L R^H + E, the factors the tracker carries.
+
+    For n > ``SKETCH_COLUMNS`` and :func:`_sketch_basis`'s C = Q B + E,
+    F = [Q, B^H] (n x 16) when ||E||_F <= sqrt(n) eps ||C||_F, otherwise
+    F = [C, I] (n x 2n, E = 0), as for every n <= ``SKETCH_COLUMNS``; the
+    zero C gives width 0.  The cut is the probabilistic rounding bound of
+    one product with n-term inner products (Higham & Mary, SISC 41, 2019),
+    below what forming C left in it (a reduced C_trid = U^H C U takes two
+    such products), so no rank is truncated: only an E at roundoff is
+    dropped, and it moves the relative residual ||commutator(A, C)||_F /
+    ||A||_F^2 by at most ||A E - E A||_F / ||A||_F^2 <= 2 ||E||_F / ||A||_F.
+    """
+    n = C.shape[0]
+    norm = fro(C)
+    if norm == 0.0:
+        return C[:, :0].copy()
+    if n > SKETCH_COLUMNS:
+        Q, B, e = _sketch_basis(C)
+        if e <= np.sqrt(n) * np.finfo(np.float64).eps * norm:
+            return np.hstack((Q, B.conj().T))
+    return np.hstack((C, np.eye(n, dtype=C.dtype)))
+
+
+def _banded_qr_step(A, F, m, band):
+    """In place A <- Q^H A Q and F <- Q^H F for QR = A[:m, :m], by panels:
+    Q^H L R^H Q = (Q^H L) (Q^H R)^H, so the factors F = [L, R] of the
+    perturbation move by the left product alone."""
     panels = []
     for j in range(0, m, PANEL_WIDTH):
         je, re = min(j + PANEL_WIDTH, m), min(j + PANEL_WIDTH + band, m)
         Qp, A[j:re, j:je] = np.linalg.qr(A[j:re, j:je], mode="complete")
         A[j:re, je:] = Qp.conj().T @ A[j:re, je:]
-        C[j:re] = Qp.conj().T @ C[j:re]
-        C[:, j:re] = C[:, j:re] @ Qp
+        F[j:re] = Qp.conj().T @ F[j:re]
         panels.append((j, re, Qp))
     for j, re, Qp in panels:
         A[:, j:re] = A[:, j:re] @ Qp
@@ -188,8 +218,12 @@ def qr_iteration_tracked(
     until the blocks outside the profile lose their low rank.  The window
     then keeps lower bandwidth b = 2 max_block - 1, so each step factors
     A_k - shift I in column panels of w = PANEL_WIDTH columns and w + b rows
-    and applies the similarity Q^H . Q to A_k and C_k (which keeps the
-    commutator relation) in O(n^2 (w + b)^2 / w) work, not O(n^3).
+    and applies the similarity Q^H . Q to A_k in O(n^2 (w + b)^2 / w) work,
+    not O(n^3).  C_k, which the similarity keeps in the commutator relation,
+    travels as the factors F = [L_k, R_k] of C_k = L_k R_k^H (n x 16 for a
+    C of rank at most 8 up to roundoff; see ``_perturbation_factors`` for
+    the roundoff it drops), and each panel applies Q_p^H to F's w + b rows
+    alone.  A's iterates, and so every rank decision, never read C.
 
     Per step the report records, for each block row i < p - 2 of the initial
     profile (rows end at r_{i+1}, block i + 2 starts at column c_{i+2}), the
@@ -214,12 +248,14 @@ def qr_iteration_tracked(
     M = commutator(A_k, C_k).  Each step records ``c_residual_estimate`` =
     ||M G||_F / sqrt(16) / ||A_k||_F^2, with G the package's fixed-seed
     n x 8 complex Gaussian sketch (E|g|^2 = 2, so E||M G||_F^2 =
-    16 ||M||_F^2), in O(n^2) work that only reads A_k and C_k.  The
-    report's ``c_residual`` is the exact ||M||_F / ||A||_F^2 of the final
-    pair (0 for A = 0), computed once after the loop, also when no step ran.
+    16 ||M||_F^2), in O(n^2) work that only reads A_k and the factors of
+    C_k.  C_k = L_k R_k^H is formed once, after the loop: the report's
+    ``final_perturbation``, and its ``c_residual``, the exact
+    ||M||_F / ||A||_F^2 of the final pair (0 for A = 0), also when no step
+    ran.  ``perturbation_factors`` holds (L_k, R_k).
     """
     A, C = as_pair(A0, C0, ("A0", "C0"))
-    A, C = A.copy(), C.copy()
+    A = A.copy()
     if steps < 0:
         raise ValueError("steps must be >= 0")
     _check_tol(tol)
@@ -236,6 +272,8 @@ def qr_iteration_tracked(
     discarded = fro(A[below])
     A[below] = 0
     bounds = np.cumsum((0,) + profile.block_sizes).tolist()
+    F = _perturbation_factors(C)
+    L, R = np.hsplit(F, 2)
     eigs: list[complex] = []
     m = n
 
@@ -275,7 +313,7 @@ def qr_iteration_tracked(
         diag = np.arange(m)
         A[diag, diag] -= shift
         try:
-            _banded_qr_step(A, C, m, 2 * profile.max_block - 1)
+            _banded_qr_step(A, F, m, 2 * profile.max_block - 1)
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise ContractError(f"QR factorization failed: {exc}") from exc
         A[diag, diag] += shift
@@ -286,11 +324,12 @@ def qr_iteration_tracked(
                 shift=shift,
                 off_profile_block_ranks=ranks,
                 rank_margin=margin,
-                c_residual_estimate=_estimated_commutator_residual(A, C),
+                c_residual_estimate=_estimated_commutator_residual(A, L, R),
                 profile_growth=fro(A[outside]) / fro(A),
             )
         )
         deflate()
+    C = L @ R.conj().T
     return QrTrackReport(
         iterations=tuple(records),
         converged_eigenvalues=tuple(eigs),
@@ -299,4 +338,5 @@ def qr_iteration_tracked(
         final_perturbation=C,
         discarded_norm=discarded,
         c_residual=commutator_residual(A, C),
+        perturbation_factors=(L, R),
     )

@@ -298,6 +298,24 @@ class TestReduce:
         assert "C.mtx" in capsys.readouterr().err
         assert not red.exists() or not list(red.iterdir())
 
+    def test_failure_after_reduction_writes_no_output(self, tmp_path, capsys,
+                                                      monkeypatch):
+        gen, red = tmp_path / "gen", tmp_path / "red"
+        assert run("generate", "--family", "arrow", "--n", "8", "--seed", "1",
+                   "--out", str(gen)) == 0
+        capsys.readouterr()
+
+        def exhausted(*args):
+            raise MemoryError("cannot allocate the certificate residual")
+
+        monkeypatch.setattr(cli, "commutator_residual", exhausted)
+        assert run("reduce", str(gen), "--out", str(red)) == 4
+        assert capsys.readouterr().err == (
+            "error: reduce ran out of memory: "
+            "cannot allocate the certificate residual\n"
+        )
+        assert not red.exists()
+
     def test_manifest_without_start_names_field(self, tmp_path, capsys):
         # a schema "2" manifest lists no start block
         gen = tmp_path / "gen"

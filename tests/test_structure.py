@@ -25,7 +25,7 @@ from blocktrid import (
     structure,
 )
 from blocktrid.cli import main
-from blocktrid.matcore import _estimated_commutator_residual
+from blocktrid.matcore import _estimated_commutator_residual, _sketch
 from blocktrid.mmio import read_matrix, write_matrix
 
 from helpers import crandn, planted_tridiagonal
@@ -145,16 +145,48 @@ def tracked_against_direct_ranks(A, C):
     return rep
 
 
-def dense_qr_step(A, C, m, band):
+def dense_qr_step(A, F, m, band):
     """Reference for ``structure._banded_qr_step``: one dense QR of the
-    whole window, its RQ product, and the transport of everything else."""
+    whole window, its RQ product, and the transport of everything else,
+    the perturbation's factors F = [L, R] by their rows."""
     Q, R = np.linalg.qr(A[:m, :m])
     A[:m, :m] = R @ Q
     A[:m, m:] = Q.conj().T @ A[:m, m:]
     A[m:, :m] = A[m:, :m] @ Q
-    C[:m, :m] = Q.conj().T @ C[:m, :m] @ Q
-    C[:m, m:] = Q.conj().T @ C[:m, m:]
-    C[m:, :m] = C[m:, :m] @ Q
+    F[:m] = Q.conj().T @ F[:m]
+
+
+class DenseTransport:
+    """The tracker's earlier dense perturbation, as a reference: ``step``
+    replaces ``structure._banded_qr_step`` and applies each panel's Q to
+    A as it does and to the dense C_k from both sides, and ``estimate``
+    replaces ``_estimated_commutator_residual`` and reads C_k itself.  The
+    factors the tracker passes are left as they are."""
+
+    def __init__(self, C):
+        self.C = C.copy()
+
+    def step(self, A, F, m, band):
+        C, panels = self.C, []
+        for j in range(0, m, structure.PANEL_WIDTH):
+            je = min(j + structure.PANEL_WIDTH, m)
+            re = min(j + structure.PANEL_WIDTH + band, m)
+            Qp, A[j:re, j:je] = np.linalg.qr(A[j:re, j:je], mode="complete")
+            A[j:re, je:] = Qp.conj().T @ A[j:re, je:]
+            C[j:re] = Qp.conj().T @ C[j:re]
+            C[:, j:re] = C[:, j:re] @ Qp
+            panels.append((j, re, Qp))
+        for j, re, Qp in panels:
+            A[:, j:re] = A[:, j:re] @ Qp
+
+    def estimate(self, A, L, R):
+        G = _sketch(A.shape[0])
+        s = G.shape[1]
+        W = np.hstack((A @ G, G))
+        AhW = (W.conj().T @ A).conj().T
+        CW = self.C @ W
+        MG = AhW[:, :s] - CW[:, :s] - A @ (AhW[:, s:] - CW[:, s:])
+        return fro(MG) / np.sqrt(2 * s) / fro(A) ** 2
 
 
 @pytest.fixture(
@@ -652,14 +684,88 @@ class TestResidualProbe:
             C = with_rank_one_defect(A, C, 1e-1)
         for k in range(1, 11):
             rep = qr_iteration_tracked(A, C, k)
-            Ak, Ck = rep.final_matrix, rep.final_perturbation
+            Ak, (Lk, Rk) = rep.final_matrix, rep.perturbation_factors
             estimate = rep.iterations[-1].c_residual_estimate
-            assert estimate == _estimated_commutator_residual(Ak, Ck)
+            assert estimate == _estimated_commutator_residual(Ak, Lk, Rk)
             for scale in (1e8, 1e-8):
                 np.testing.assert_allclose(
-                    _estimated_commutator_residual(scale * Ak, scale * Ck),
+                    _estimated_commutator_residual(scale * Ak, scale * Lk, Rk),
                     estimate, rtol=1e-12, atol=0,
                 )
+
+
+def step_decisions(rep):
+    return [
+        (rec.step, rec.shift, rec.off_profile_block_ranks, rec.rank_margin,
+         rec.profile_growth)
+        for rec in rep.iterations
+    ]
+
+
+class TestFactoredPerturbation:
+    """The tracker carries C_k as factors L_k R_k^H; A's iterates never read
+    them, so every decision is that of the dense transport."""
+
+    @pytest.mark.parametrize("instance", [
+        lambda tmp: reduced_unitary(256, 1),
+        lambda tmp: reduced_from_commutator_range(arrow_hermitian_plus_rank_one(128, 1)),
+        lambda tmp: reduced_random_companion(64, 1),
+        lambda tmp: reduced_by_cli(tmp, "--family", "curve", "--curve", "circle",
+                                   "--n", "64", "--seed", "0"),
+    ], ids=["unitary-256", "arrow-128", "companion-64", "circle-64"])
+    def test_same_decisions_as_dense_transport(self, instance, tmp_path, monkeypatch):
+        A, C = instance(tmp_path)
+        rep = qr_iteration_tracked(A, C, 30)
+        assert [f.shape for f in rep.perturbation_factors] == [(A.shape[0], 8)] * 2
+        dense = DenseTransport(C)
+        monkeypatch.setattr(structure, "_banded_qr_step", dense.step)
+        monkeypatch.setattr(structure, "_estimated_commutator_residual", dense.estimate)
+        ref = qr_iteration_tracked(A, C, 30)
+        assert len(rep.iterations) == 30
+        assert np.array_equal(rep.final_matrix, ref.final_matrix)
+        assert step_decisions(rep) == step_decisions(ref)
+        assert rep.converged_eigenvalues == ref.converged_eigenvalues
+        np.testing.assert_allclose(
+            [rec.c_residual_estimate for rec in rep.iterations],
+            [rec.c_residual_estimate for rec in ref.iterations], rtol=0, atol=1e-14,
+        )
+        exact = commutator_residual(ref.final_matrix, dense.C)
+        np.testing.assert_allclose(rep.c_residual, exact, rtol=0, atol=1e-14)
+
+    def test_reduced_perturbation_takes_sixteen_columns(self):
+        A, C = reduced_unitary(64, 1)
+        F = structure._perturbation_factors(C)
+        assert F.shape == (64, 16)
+        L, R = np.hsplit(F, 2)
+        eps = np.finfo(np.float64).eps
+        assert fro(C - L @ R.conj().T) <= np.sqrt(64) * eps * fro(C)
+
+    @pytest.mark.parametrize("n, perturbation", [
+        (16, "adjoint-difference"), (8, "rank-one"), (5, "rank-one"),
+    ])
+    def test_fallback_carries_c_and_identity(self, n, perturbation):
+        """A C of full rank 16, above the sketch's 8 columns, and any C of
+        order at most 8 travel as [C, I]."""
+        from blocktrid import svd
+
+        A = planted_tridiagonal(n)
+        if perturbation == "adjoint-difference":
+            C = A.conj().T - A
+            assert svd(C).numerical_rank == 16
+        else:
+            rng = np.random.default_rng(n)
+            C = np.outer(crandn(rng, n), crandn(rng, n).conj())
+        F = structure._perturbation_factors(C)
+        assert F.shape == (n, 2 * n)
+        assert np.array_equal(F, np.hstack((C, np.eye(n))))
+        rep = qr_iteration_tracked(A, C, 3)
+        assert [f.shape for f in rep.perturbation_factors] == [(n, n)] * 2
+
+    def test_zero_perturbation_has_no_columns(self):
+        A = planted_tridiagonal(12)
+        rep = qr_iteration_tracked(A, np.zeros_like(A), 3)
+        assert [f.shape for f in rep.perturbation_factors] == [(12, 0)] * 2
+        assert np.array_equal(rep.final_perturbation, np.zeros_like(A))
 
 
 def scaled_decisions(inst, scale):
