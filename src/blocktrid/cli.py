@@ -8,11 +8,11 @@ Subcommands chain into reproducible file-based pipelines::
     blocktrid qr-track red/A_trid.mtx red/C_trid.mtx --steps 30 --out track.json
     blocktrid verify work/A.mtx work/C.mtx --k 2
 
-``generate`` writes each instance with its family's starting block
-(``Z.mtx``); ``reduce`` block-Lanczos-reduces A from that block, applying A
-and A^H to each block, the same path for every family, so it holds no family
-rules.  A block wider than the one before it means the instance lacks the
-structure behind the family's block bound, and ``reduce`` exits 2.
+``generate`` writes only matrices, the family's starting block ``Z.mtx``
+(led by the rank-one vectors) among them; ``reduce`` block-Lanczos-reduces
+A from that block, applying A and A^H to each block, one path for every
+family, without family rules.  A block wider than the one before it means
+the instance lacks the structure behind its block bound: ``reduce`` exits 2.
 
 Exit codes: 0 success, 2 verification failure, 3 I/O error, 4 contract
 violation, numerical failure (a solver or SVD that does not converge) or a
@@ -48,16 +48,16 @@ from .generators import (
 )
 from .lanczos import block_lanczos
 from .matcore import fro
-from .mmio import MatrixMarketError, read_matrix, write_matrix, write_vector
+from .mmio import MatrixMarketError, read_matrix, write_matrix
 from .structure import off_profile_residual, qr_iteration_tracked
 
 # unused here: clibench/layers.py traces these names on this module
 from .almostnormal import antihermitian_rescaling, rotate_leading_form  # noqa: F401
 from .almostnormal import starting_block_curve, starting_block_rank_one  # noqa: F401
 from .matcore import commutator, orthonormal_range  # noqa: F401
-from .mmio import read_vector  # noqa: F401
+from .mmio import read_vector, write_vector  # noqa: F401
 
-SCHEMA_VERSION = "5"
+SCHEMA_VERSION = "6"
 _STDOUT_JSON_OPTIONS = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
 _JSON_OPTIONS = _STDOUT_JSON_OPTIONS | orjson.OPT_INDENT_2
 
@@ -144,15 +144,12 @@ def cmd_generate(args, argv) -> int:
         "n": int(inst.matrix.shape[0]),
     }
 
-    def save(role, name, data, vector=False):
-        writes.append((os.path.join(out, name), data, vector))
+    def save(role, name, data):
+        writes.append((os.path.join(out, name), data))
         files[role] = name
 
     save("matrix", "H.mtx" if args.family == "fourier-sum" else "A.mtx", inst.matrix)
     save("start", "Z.mtx", inst.start)
-    for role in ("x", "y", "u", "v"):
-        if role in inst.perturbation_data:
-            save(role, f"{role}.mtx", inst.perturbation_data[role], vector=True)
     if "C" in inst.perturbation_data:
         save("perturbation", "C.mtx", inst.perturbation_data["C"])
     manifest["certificate"] = _cert_to_json(inst.certificate)
@@ -163,8 +160,8 @@ def cmd_generate(args, argv) -> int:
     # a manifest orjson cannot encode raises here, before any file is written
     _encode_json(manifest)
     os.makedirs(out, exist_ok=True)
-    for path, data, vector in writes:
-        (write_vector if vector else write_matrix)(path, data)
+    for path, data in writes:
+        write_matrix(path, data)
     _write_json(os.path.join(out, "manifest.json"), manifest)
     _print_json({"out": out, "files": files})
     return EXIT_OK

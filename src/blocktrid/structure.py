@@ -171,13 +171,14 @@ def _perturbation_factors(C) -> np.ndarray:
 
     For n > ``SKETCH_COLUMNS`` and :func:`_sketch_basis`'s C = Q B + E,
     F = [Q, B^H] (n x 16) when ||E||_F <= sqrt(n) eps ||C||_F, otherwise
-    F = [C, I] (n x 2n, E = 0), as for every n <= ``SKETCH_COLUMNS``; the
-    zero C gives width 0.  The cut is the probabilistic rounding bound of
-    one product with n-term inner products (Higham & Mary, SISC 41, 2019),
-    below what forming C left in it (a reduced C_trid = U^H C U takes two
-    such products), so no rank is truncated: only an E at roundoff is
-    dropped, and it moves the relative residual ||commutator(A, C)||_F /
-    ||A||_F^2 by at most ||A E - E A||_F / ||A||_F^2 <= 2 ||E||_F / ||A||_F.
+    F = [C, I] (n x 2n, E = 0: two n x n arrays more than a dense C), as for
+    every n <= ``SKETCH_COLUMNS``; the zero C gives width 0.  The cut is the
+    probabilistic rounding bound of one product with n-term inner products
+    (Higham & Mary, SISC 41, 2019), below what forming C left in it (a
+    reduced C_trid = U^H C U takes two such products), so no rank is
+    truncated: only an E at roundoff is dropped, and it moves the relative
+    residual ||commutator(A, C)||_F / ||A||_F^2 by at most
+    ||A E - E A||_F / ||A||_F^2 <= 2 ||E||_F / ||A||_F.
     """
     n = C.shape[0]
     norm = fro(C)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -36,7 +37,7 @@ class TestGenerate:
         assert run("generate", "--family", "companion",
                    "--coeffs", "1,0,0,0,1", "--out", str(out)) == 0
         manifest = load_report(out / "manifest.json")
-        assert manifest["schema_version"] == "5"
+        assert manifest["schema_version"] == "6"
         assert (out / manifest["files"]["matrix"]).exists()
         assert (out / manifest["files"]["perturbation"]).exists()
         assert manifest["certificate"]["residual"] <= 1e-10
@@ -48,7 +49,7 @@ class TestGenerate:
         ("colleague", ("--coeffs", "1,0.3,0,0.2,1,0,0,0.5,1.2"), 2),
         ("curve", ("--curve", "parabola-arc"), 6),
     ])
-    def test_every_family_writes_start_and_phase(self, tmp_path, family, extra, width):
+    def test_every_family_writes_start_without_phase(self, tmp_path, family, extra, width):
         out = tmp_path / "gen"
         assert run("generate", "--family", family, "--n", "16", "--seed", "3",
                    *extra, "--out", str(out)) == 0
@@ -58,6 +59,40 @@ class TestGenerate:
         assert read_matrix(out / "Z.mtx").shape == (manifest["n"], width)
         # the reduction applies A and A^H together, so no family needs a phase
         assert "phase" not in manifest
+
+    @pytest.mark.parametrize("family, extra, files", [
+        ("arrow", (), {"A.mtx", "Z.mtx", "C.mtx"}),
+        ("unitary", (), {"A.mtx", "Z.mtx", "C.mtx"}),
+        ("companion", ("--coeffs", "1,0.3,0,0.2,1,0,0,0.5,1.2"), {"A.mtx", "Z.mtx", "C.mtx"}),
+        ("colleague", ("--coeffs", "1,0.3,0,0.2,1,0,0,0.5,1.2"), {"A.mtx", "Z.mtx", "C.mtx"}),
+        ("fourier-sum", (), {"H.mtx", "Z.mtx"}),
+        ("curve", ("--curve", "circle"), {"A.mtx", "Z.mtx", "C.mtx"}),
+        ("curve", ("--curve", "line"), {"A.mtx", "Z.mtx", "C.mtx"}),
+        ("curve", ("--curve", "parabola-arc"), {"A.mtx", "Z.mtx"}),
+        ("solved", ("--n", "6", "--c-kind", "independent"), {"A.mtx", "Z.mtx", "C.mtx"}),
+        ("solved", ("--n", "6", "--c-kind", "dependent"), {"A.mtx", "Z.mtx", "C.mtx"}),
+    ])
+    def test_every_family_writes_only_matrices(self, tmp_path, family, extra, files):
+        # the rank-one vectors travel as the leading columns of Z.mtx alone
+        out = tmp_path / "gen"
+        assert run("generate", "--family", family, "--seed", "3", *extra,
+                   "--out", str(out)) == 0
+        assert {p.name for p in out.iterdir()} == files | {"manifest.json"}
+        assert set(load_report(out / "manifest.json")["files"].values()) == files
+
+    @pytest.mark.parametrize("family, build, roles", [
+        ("arrow", lambda: generators.arrow_hermitian_plus_rank_one(16, 3), ("x", "y")),
+        ("unitary", lambda: generators.random_unitary_plus_rank_one(16, 3), ("x", "y")),
+        ("curve", lambda: generators.curve_normal_plus_rank_one(16, "parabola_arc", 3),
+         ("u", "v")),
+    ])
+    def test_start_leads_with_rank_one_vectors(self, tmp_path, family, build, roles):
+        out = tmp_path / "gen"
+        assert run("generate", "--family", family, "--n", "16", "--seed", "3",
+                   "--out", str(out)) == 0
+        data = build().perturbation_data
+        leading = read_matrix(out / "Z.mtx")[:, :len(roles)]
+        assert np.array_equal(leading, np.column_stack([data[r] for r in roles]))
 
     def test_fourier_writes_matrix_and_start(self, tmp_path):
         out = tmp_path / "fs"
@@ -198,13 +233,34 @@ class TestReduce:
         gen, red = tmp_path / "gen", tmp_path / "red"
         run("generate", "--family", "arrow", "--n", "10", "--seed", "0",
             "--out", str(gen))
-        x = read_matrix(gen / "x.mtx")
-        y = read_matrix(gen / "y.mtx")
+        # an arrow start is [x, y]
         start = tmp_path / "Z.mtx"
-        write_matrix(start, np.hstack([x, y]))
+        write_matrix(start, read_matrix(gen / "Z.mtx"))
         assert run("reduce", str(gen / "A.mtx"), "--start", str(start),
                    "--out", str(red)) == 0
         assert max(load_report(red / "report.json")["block_sizes"]) <= 2
+
+    def test_schema_5_vector_files_are_not_read(self, tmp_path):
+        # a schema "5" directory also lists x.mtx and y.mtx, which reduce ignores
+        gen, old = tmp_path / "gen", tmp_path / "old"
+        assert run("generate", "--family", "arrow", "--n", "16", "--seed", "1",
+                   "--out", str(gen)) == 0
+        shutil.copytree(gen, old)
+        data = generators.arrow_hermitian_plus_rank_one(16, 1).perturbation_data
+        manifest = load_report(gen / "manifest.json")
+        for role in ("x", "y"):
+            mmio.write_vector(old / f"{role}.mtx", data[role])
+            manifest["files"][role] = f"{role}.mtx"
+        (old / "manifest.json").write_text(json.dumps({**manifest, "schema_version": "5"}))
+        reports = []
+        for src in (gen, old):
+            assert run("reduce", str(src), "--out", str(tmp_path / f"red_{src.name}")) == 0
+            reports.append(load_report(tmp_path / f"red_{src.name}" / "report.json"))
+        assert reports[0]["block_sizes"] == reports[1]["block_sizes"]
+        assert reports[0]["residuals"] == reports[1]["residuals"]
+        for name in ("U.mtx", "A_trid.mtx", "C_trid.mtx"):
+            assert ((tmp_path / "red_gen" / name).read_bytes()
+                    == (tmp_path / "red_old" / name).read_bytes())
 
     @pytest.mark.parametrize("family, read", [
         ("arrow", ("A.mtx", "manifest.json", "Z.mtx", "C.mtx")),
