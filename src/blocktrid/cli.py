@@ -10,9 +10,10 @@ Subcommands chain into reproducible file-based pipelines::
 
 ``generate`` writes only matrices, the family's starting block ``Z.mtx``
 (led by the rank-one vectors) among them; ``reduce`` block-Lanczos-reduces
-A from that block, applying A and A^H to each block, one path for every
-family, without family rules.  A block wider than the one before it means
-the instance lacks the structure behind its block bound: ``reduce`` exits 2.
+A from that block, applying A and A^H to each block (A alone when
+range(A - A^H) lies in the start, as measured), without family rules.  A
+block wider than the one before it means the instance lacks the structure
+behind its block bound: ``reduce`` exits 2.
 
 Exit codes: 0 success, 2 verification failure, 3 I/O error, 4 contract
 violation, numerical failure (a solver or SVD that does not converge) or a
@@ -278,6 +279,8 @@ def cmd_reduce(args, argv) -> int:
         "restarted": red.restarted,
         # a wider block: the instance lacks the structure behind the bound
         "blocks_grow": any(b > a for a, b in zip(sizes, sizes[1:])),
+        # at most --tol: each Lanczos step applied A alone, not [A, A^H]
+        "skew_outside_start": red.skew_outside_start,
         "residuals": residuals,
         "files": files,
         "elapsed_ms": (time.perf_counter() - t0) * 1e3,

@@ -1,9 +1,10 @@
 """Block Lanczos reduction of a square matrix to block tridiagonal form.
 
 The driver orthonormalizes the starting block, of any width, then repeatedly
-applies A and A^H to the newest block and orthogonalizes the pair against
-everything computed so far (two passes of block Gram-Schmidt, so the
-certified block profile is not destroyed by loss of orthogonality).  A
+applies A to the newest block, and A^H too unless range(A - A^H) lies in the
+start, and orthogonalizes the result once against the two blocks the
+recurrence couples and once against everything computed so far, so the
+certified block profile is not destroyed by loss of orthogonality.  A
 candidate of numerical rank zero before n columns is a breakdown, which is
 logged and handled by restarting from the canonical basis vector least
 captured by the computed columns.  Across a breakdown boundary the reduced
@@ -40,7 +41,11 @@ class BlockTridiagonalization:
     ``basis^H A basis``, read off the recurrence and exactly zero outside the
     envelope induced by ``block_sizes``.  ``breakdown_events`` holds
     ``(step, columns_completed)`` pairs, where ``step`` counts diagonal blocks
-    finished when the breakdown was detected.
+    finished when the breakdown was detected.  ``skew_outside_start`` is
+    ``||(I - Q Q^H)(A - A^H)||_F / ||A||_F`` for the orthonormal range Q of
+    the start (0 for the zero matrix).  When it is at most ``tol``, each
+    step applied A alone instead of the pair [A, A^H]; its distance from
+    ``tol`` is the margin of that decision.
     """
 
     basis: np.ndarray
@@ -48,6 +53,7 @@ class BlockTridiagonalization:
     block_sizes: tuple[int, ...]
     breakdown_events: tuple[tuple[int, int], ...]
     restarted: bool
+    skew_outside_start: float
 
     @property
     def block_boundaries(self) -> tuple[int, ...]:
@@ -58,17 +64,18 @@ class BlockTridiagonalization:
         return tuple(out)
 
 
-def _append_range(B, cols, R, cutoff):
-    """Orthogonalize R against B[:, :cols] (two Gram-Schmidt passes) and write
-    its left singular vectors with singular values above ``cutoff``, no more
-    than B has columns left, into B from column ``cols`` on.  Returns those
-    singular values ``s`` and right singular vectors ``Vh``: the new block
-    B_new has ``B_new^H R = diag(s) Vh``.
+def _append_range(B, lo, cols, R, cutoff):
+    """Orthogonalize R against B[:, lo:cols], then against B[:, :cols] (one
+    local Gram-Schmidt pass, which removes the components the recurrence
+    puts there, and one full pass, which removes the roundoff along the
+    whole basis), and write its left singular vectors with singular values
+    above ``cutoff``, no more than B has columns left, into B from column
+    ``cols`` on.  Returns those singular values ``s`` and right singular
+    vectors ``Vh``: the new block B_new has ``B_new^H R = diag(s) Vh``.
     """
-    if cols > 0:
-        P = B[:, :cols]
-        for _ in range(2):
-            R = R - P @ (R.conj().T @ P).conj().T
+    for first in (lo, 0):
+        P = B[:, first:cols]
+        R = R - P @ (R.conj().T @ P).conj().T
     Q, s, Vh = _checked_svd(R, full_matrices=False)
     keep = min(int(np.count_nonzero(s > cutoff)), B.shape[1] - cols)
     B[:, cols : cols + keep] = Q[:, :keep]
@@ -81,8 +88,10 @@ def block_lanczos(A, Z, tol: float = DEFAULT_TOL) -> BlockTridiagonalization:
     Each new block is the range of [A U_k, A^H U_k] outside the basis so far,
     for the newest block U_k: the span of [A_H U_k, A_AH U_k] for the
     Hermitian and antihermitian parts of A, so the blocks of A and of e^{i phi}
-    A agree for every phase.  For a Hermitian A the pair is two copies of
-    A U_k, and the reduction is the Hermitian block Lanczos one.
+    A agree for every phase.  When range(A - A^H) lies in range(Z) to
+    ``tol * ||A||_F`` (Hermitian A, and Hermitian plus rank one from [x, y]),
+    A^H U_k is A U_k up to a term inside the first block, and each step
+    applies A alone; the reduction is then the Hermitian block Lanczos one.
 
     Parameters
     ----------
@@ -98,7 +107,9 @@ def block_lanczos(A, Z, tol: float = DEFAULT_TOL) -> BlockTridiagonalization:
         value; candidate blocks inside the iteration are ranked against
         ``tol * sqrt(2) * ||A||_F``, the Frobenius norm of the pair [A, A^H],
         so that a subspace invariant under A and A^H registers as a
-        breakdown.
+        breakdown, or against ``tol * ||A||_F`` when each step applies A
+        alone: the singular values of [W, W] are sqrt(2) times those of W,
+        so the decisions are the pair's.
 
     Returns
     -------
@@ -115,7 +126,7 @@ def block_lanczos(A, Z, tol: float = DEFAULT_TOL) -> BlockTridiagonalization:
     ValueError
         If Z is identically zero.
     """
-    for U, T, sizes, events in _lanczos_steps(A, Z, tol):
+    for U, T, sizes, events, skew in _lanczos_steps(A, Z, tol):
         pass
     return BlockTridiagonalization(
         basis=U,
@@ -123,14 +134,16 @@ def block_lanczos(A, Z, tol: float = DEFAULT_TOL) -> BlockTridiagonalization:
         block_sizes=tuple(sizes),
         breakdown_events=tuple(events),
         restarted=bool(events),
+        skew_outside_start=skew,
     )
 
 
 def _lanczos_steps(A, Z, tol):
     """The recurrence of :func:`block_lanczos`, with its operand checks.
-    Yields ``(U, T, sizes, events)`` each time a diagonal block of T is
-    complete, so ``sizes`` has one more block each time; the last yield is
-    the whole reduction.  The same arrays are yielded each time."""
+    Yields ``(U, T, sizes, events, skew)`` each time a diagonal block of T
+    is complete, so ``sizes`` has one more block each time; the last yield
+    is the whole reduction.  The same arrays are yielded each time, and
+    ``skew`` is the ``skew_outside_start`` of the run."""
     A = as_square(A, "A")
     n = A.shape[0]
     floor = n * np.finfo(float).eps
@@ -143,7 +156,7 @@ def _lanczos_steps(A, Z, tol):
         raise DimensionError(f"Z has {Z.shape[0]} rows, A is {n}x{n}")
     if fro(Z) == 0.0:
         raise ValueError("starting block Z is zero")
-    cutoff = tol * np.sqrt(2.0) * fro(A)
+    norm_a = fro(A)
 
     U = np.zeros((n, n), dtype=np.complex128)
     T = np.zeros((n, n), dtype=np.complex128)
@@ -153,30 +166,41 @@ def _lanczos_steps(A, Z, tol):
     sizes = [s0]
     events: list[tuple[int, int]] = []
 
-    # Each pass applies A and A^H once to the newest block U_k, which gives
-    # its diagonal block U_k^H (A U_k) and, from the SVD of the projected
-    # pair, the next block with U_{k+1}^H [A U_k, A^H U_k] = diag(s) Vh: the
-    # block below the diagonal and the adjoint of the block above it.
-    start = 0
+    # A^H U_k = A U_k - (A - A^H) U_k, and the second term lies in the first
+    # block when range(A - A^H) does: then A U_k alone carries the new block
+    D = A - A.conj().T
+    D -= Q0 @ (Q0.conj().T @ D)
+    skew = fro(D) / norm_a if norm_a else 0.0
+    del D  # the generator's frame would hold it for the whole run
+    pair = skew > tol
+    cutoff = tol * np.sqrt(2.0) * norm_a if pair else tol * norm_a
+
+    # Each pass applies A (and A^H on the pair path) to the newest block U_k.
+    # The product gives U_k's diagonal block and the block above it,
+    # U_{k-1}^H (A U_k); the SVD of the projected product R gives the next
+    # block with U_{k+1}^H R = diag(s) Vh, whose first columns are the block
+    # below the diagonal.  ``lo`` is the first column of U_{k-1}, or of U_k
+    # when a run starts: the blocks that the recurrence couples to U_{k+1}.
+    start = lo = 0
     while True:
         width = sizes[-1]
-        Uk = U[:, start : start + width]
+        Uk = U[:, start:cols]
         AUk = A @ Uk
-        T[start : start + width, start : start + width] = Uk.conj().T @ AUk
-        yield U, T, sizes, events
+        T[lo:cols, start:cols] = U[:, lo:cols].conj().T @ AUk
+        yield U, T, sizes, events, skew
         if cols == n:
             return
-        pair = np.hstack((AUk, (Uk.conj().T @ A).conj().T))
-        s, Vh = _append_range(U, cols, pair, cutoff)
+        R = np.hstack((AUk, (Uk.conj().T @ A).conj().T)) if pair else AUk
+        s, Vh = _append_range(U, lo, cols, R, cutoff)
         if s.size == 0:
             events.append((len(sizes), cols))
             _restart_vector(U, cols)
             sizes.append(1)
+            lo = cols
         else:
-            Bk = s[:, None] * Vh
-            T[cols : cols + s.size, start : start + width] = Bk[:, :width]
-            T[start : start + width, cols : cols + s.size] = Bk[:, width:].conj().T
+            T[cols : cols + s.size, start:cols] = s[:, None] * Vh[:, :width]
             sizes.append(s.size)
+            lo = start
         start = cols
         cols += sizes[-1]
 
@@ -185,10 +209,11 @@ def _restart_vector(U, cols):
     """Write into U[:, cols] the e_j with the smallest row norm ||P[j, :]|| of
     P = U[:, :cols] (lowest j on ties), orthogonalized against P and
     normalized by :func:`_append_range`.  The squared row norms sum to cols,
-    so e_j keeps a residual of at least sqrt(1 - cols / n) above the cut 0."""
+    so e_j keeps a residual of at least sqrt(1 - cols / n) above the cut 0.
+    Both passes are full: e_j couples to no block."""
     e = np.zeros((U.shape[0], 1), dtype=np.complex128)
     e[np.argmin(np.linalg.norm(U[:, :cols], axis=1))] = 1.0
-    _append_range(U, cols, e, 0.0)
+    _append_range(U, 0, cols, e, 0.0)
 
 
 def krylov_levels(M, Z, j_max: int, tol: float = DEFAULT_TOL):
@@ -206,7 +231,7 @@ def krylov_levels(M, Z, j_max: int, tol: float = DEFAULT_TOL):
     """
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
-    for B, _, sizes, events in _lanczos_steps(M, Z, tol):
+    for B, _, sizes, events, _ in _lanczos_steps(M, Z, tol):
         if events or len(sizes) > j_max:
             break
     ends = np.cumsum(sizes)

@@ -19,6 +19,8 @@ from blocktrid.errors import SingularityError
 from blocktrid.cli import main
 from blocktrid.mmio import read_matrix, write_matrix
 
+from helpers import colleague_coeffs as _colleague_coeffs
+from helpers import companion_coeffs as _companion_coeffs
 from helpers import crandn, planted_tridiagonal
 
 
@@ -500,19 +502,6 @@ def _coeff_arg(coeffs):
     return ",".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in np.asarray(coeffs, complex))
 
 
-def _companion_coeffs(d, seed):
-    """Leading 1, then moduli in [0.5, 1] with random phases."""
-    rng = np.random.default_rng([0xC0, seed])
-    mod = rng.uniform(0.5, 1.0, d)
-    return np.concatenate([[1.0], mod * np.exp(2j * np.pi * rng.uniform(size=d))])
-
-
-def _colleague_coeffs(d, seed):
-    """Leading 1, then values uniform in [-1, 1]."""
-    rng = np.random.default_rng([0xC1, seed])
-    return np.concatenate([[1.0], rng.uniform(-1.0, 1.0, d)])
-
-
 class TestPolynomialsAtDegree256:
     """Companion and colleague pipelines keep their block and rank bounds at
     degree 256, with the coefficient rules of the benchmark's sweep."""
@@ -531,6 +520,63 @@ class TestPolynomialsAtDegree256:
         assert run("qr-track", str(red / "A_trid.mtx"), str(red / "C_trid.mtx"),
                    "--steps", "30", "--out", str(track)) == 0
         assert load_report(track)["within_rank_bound"] is True
+
+
+class TestEveryFamilyAt256:
+    """Every CLI family but the solved one reduces at n = 256 within its
+    block bound."""
+
+    @pytest.mark.parametrize("family, extra, bound", [
+        ("arrow", (), 2),
+        ("unitary", (), 4),
+        ("curve", ("--curve", "circle"), 4),
+        ("curve", ("--curve", "line"), 2),
+        ("curve", ("--curve", "parabola-arc"), 6),
+        ("fourier-sum", (), 2),
+        ("companion", ("--coeffs", _coeff_arg(_companion_coeffs(256, 0))), 4),
+        ("colleague", ("--coeffs", _coeff_arg(_colleague_coeffs(256, 0))), 2),
+    ], ids=["arrow", "unitary", "circle", "line", "parabola-arc", "fourier-sum", "companion",
+            "colleague"])
+    def test_generate_and_reduce(self, tmp_path, family, extra, bound):
+        gen, red = tmp_path / "gen", tmp_path / "red"
+        assert run("generate", "--family", family, "--n", "256", "--seed", "0",
+                   *extra, "--out", str(gen)) == 0
+        assert load_report(gen / "manifest.json")["n"] == 256
+        assert run("reduce", str(gen), "--out", str(red)) == 0
+        assert max(load_report(red / "report.json")["block_sizes"]) <= bound
+
+
+class TestSkewOutsideStart:
+    """``reduce`` reports ||(I - Q Q^H)(A - A^H)||_F / ||A||_F for the range Q
+    of the start: at most ``--tol`` when each step applied A alone."""
+
+    @pytest.mark.parametrize("family, one_product", [("arrow", True), ("unitary", False)])
+    def test_family_decision(self, tmp_path, family, one_product):
+        gen, red = tmp_path / "gen", tmp_path / "red"
+        run("generate", "--family", family, "--n", "16", "--seed", "0", "--out", str(gen))
+        assert run("reduce", str(gen), "--out", str(red)) == 0
+        assert (load_report(red / "report.json")["skew_outside_start"] <= 1e-10) == one_product
+
+    def test_zero_matrix_reads_zero(self, tmp_path):
+        a, start, red = tmp_path / "A.mtx", tmp_path / "Z.mtx", tmp_path / "red"
+        write_matrix(a, np.zeros((4, 4)))
+        write_matrix(start, np.eye(4)[:, :1])
+        run("reduce", str(a), "--start", str(start), "--out", str(red))
+        assert load_report(red / "report.json")["skew_outside_start"] == 0.0
+
+    # squares of entries at 1e+-160 over- and underflow; the norms rescale
+    def test_finite_at_extreme_scales(self, tmp_path):
+        rng = np.random.default_rng(0)
+        A, start = crandn(rng, 6, 6), tmp_path / "Z.mtx"
+        write_matrix(start, np.eye(6)[:, :2])
+        skews = []
+        for scale in (1.0, 1e160, 1e-160):
+            a, red = tmp_path / f"A{scale:g}.mtx", tmp_path / f"red{scale:g}"
+            write_matrix(a, scale * A)
+            run("reduce", str(a), "--start", str(start), "--out", str(red))
+            skews.append(load_report(red / "report.json")["skew_outside_start"])
+        assert np.all(np.isfinite(skews))
+        assert np.allclose(skews, skews[0], rtol=1e-12)
 
 
 class TestVerify:

@@ -9,6 +9,8 @@ from blocktrid import (
     antihermitian_part,
     arrow_hermitian_plus_rank_one,
     block_lanczos,
+    chebyshev_colleague,
+    companion,
     curve_normal_plus_rank_one,
     fourier_sum,
     fro,
@@ -23,7 +25,7 @@ from blocktrid import (
     subspace_inclusion_residual,
 )
 
-from helpers import crandn
+from helpers import colleague_coeffs, companion_coeffs, crandn, pair_lanczos_reference
 
 
 def random_hermitian(rng, n):
@@ -226,9 +228,13 @@ class TestBlockLanczos:
         with pytest.raises(DimensionError):
             block_lanczos(np.ones((3, 2)), np.ones((3, 1)))
 
-    def test_svd_failure_in_loop_is_numerical_error(self, monkeypatch):
+    @pytest.mark.parametrize("hermitian, shape", [(False, "12x4"), (True, "12x2")],
+                             ids=["non-hermitian", "hermitian"])
+    def test_svd_failure_in_loop_is_numerical_error(self, monkeypatch, hermitian, shape):
+        # a non-Hermitian A takes the pair [A U, A^H U]; a Hermitian one A U alone
         rng = np.random.default_rng(3)
-        H, Z = random_hermitian(rng, 12), crandn(rng, 12, 2)
+        A = random_hermitian(rng, 12) if hermitian else crandn(rng, 12, 12)
+        Z = crandn(rng, 12, 2)
         svd, calls = np.linalg.svd, []
 
         def fail_second(*args, **kwargs):
@@ -238,9 +244,102 @@ class TestBlockLanczos:
             return svd(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", fail_second)
-        with pytest.raises(NumericalError, match="failed to converge for a 12x4 matrix "):
-            block_lanczos(H, Z)
+        with pytest.raises(NumericalError, match=f"failed to converge for a {shape} matrix "):
+            block_lanczos(A, Z)
         assert len(calls) == 2
+
+
+ONE_PRODUCT_FAMILIES = ("arrow", "colleague", "line", "fourier-sum")
+PAIR_FAMILIES = ("unitary", "companion", "circle", "parabola_arc")
+
+
+def family_instance(family, n, seed):
+    """The generated instance of ``family`` at size n, with the benchmark's
+    coefficient rules for the two polynomial families."""
+    if family == "arrow":
+        return arrow_hermitian_plus_rank_one(n, seed)
+    if family == "unitary":
+        return random_unitary_plus_rank_one(n, seed)
+    if family == "fourier-sum":
+        return fourier_sum(n, seed)
+    if family == "colleague":
+        return chebyshev_colleague(colleague_coeffs(n, seed))
+    if family == "companion":
+        return companion(companion_coeffs(n, seed))
+    return curve_normal_plus_rank_one(n, family, seed)
+
+
+class TestStepPaths:
+    """Each step applies A alone when range(A - A^H) lies in the start, and
+    the pair [A U_k, A^H U_k] otherwise; either way it orthogonalizes once
+    against [U_{k-1}, U_k] and once against the whole basis."""
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("family", ONE_PRODUCT_FAMILIES + PAIR_FAMILIES)
+    def test_decisions_match_pair_with_two_full_passes(self, family, n):
+        for seed in (0, 7):
+            inst = family_instance(family, n, seed)
+            red = block_lanczos(inst.matrix, inst.start)
+            assert (red.block_sizes, red.breakdown_events) == pair_lanczos_reference(
+                inst.matrix, inst.start
+            )
+
+    @staticmethod
+    def _recorded(monkeypatch, A, Z):
+        """The reduction, and ``(lo, cols, columns of R, cutoff)`` of each
+        ``_append_range`` call."""
+        append, calls = lanczos._append_range, []
+
+        def recorded(B, lo, cols, R, cutoff):
+            calls.append((lo, cols, R.shape[1], cutoff))
+            return append(B, lo, cols, R, cutoff)
+
+        monkeypatch.setattr(lanczos, "_append_range", recorded)
+        return block_lanczos(A, Z), calls
+
+    @pytest.mark.parametrize("family", ONE_PRODUCT_FAMILIES + ("hermitian",) + PAIR_FAMILIES)
+    def test_path_decision(self, monkeypatch, family):
+        # the first product has the start's width on the one-product path,
+        # and twice it on the pair path
+        if family == "hermitian":
+            rng = np.random.default_rng(4)
+            A, Z = random_hermitian(rng, 64), crandn(rng, 64, 2)
+        else:
+            inst = family_instance(family, 64, 0)
+            A, Z = inst.matrix, inst.start
+        red, calls = self._recorded(monkeypatch, A, Z)
+        one_product = family not in PAIR_FAMILIES
+        assert (red.skew_outside_start <= 1e-10) == one_product
+        assert calls[0][2] == (1 if one_product else 2) * red.block_sizes[0]
+
+    @pytest.mark.parametrize("family", ["arrow", "unitary", "fourier-sum"])
+    def test_local_pass_covers_the_coupled_blocks(self, monkeypatch, family):
+        # lo is the first column of U_{k-1}, or of U_k when a run starts; a
+        # restart vector couples to no block, so both of its passes are full
+        inst = family_instance(family, 32, 0)
+        red, calls = self._recorded(monkeypatch, inst.matrix, inst.start)
+        c = red.block_boundaries
+        run_starts = {0} | {col for _, col in red.breakdown_events}
+        expected = []
+        for k in range(1, len(c) - 1):
+            lo = c[k - 1] if c[k - 1] in run_starts else c[k - 2]
+            expected.append((lo, c[k], None))
+            if c[k] in run_starts:
+                expected.append((0, c[k], 0.0))
+        got = [(lo, cols, 0.0 if cutoff == 0.0 else None) for lo, cols, _, cutoff in calls]
+        assert got == expected
+        assert red.restarted == (family == "fourier-sum")
+
+    @pytest.mark.parametrize("family", ["arrow", "colleague"])
+    def test_non_hermitian_trid_is_the_similarity(self, family):
+        # the block above the diagonal is read off A U_{k+1}, not mirrored
+        # from the block below: A is not Hermitian
+        inst = family_instance(family, 256, 0)
+        A = inst.matrix
+        red = block_lanczos(A, inst.start)
+        U = red.basis
+        assert fro(A - A.conj().T) > 1e-3 * fro(A)
+        assert fro(U.conj().T @ A @ U - red.trid) <= 1e-12 * fro(A)
 
 
 class TestKrylovBasis:
