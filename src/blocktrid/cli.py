@@ -16,8 +16,8 @@ block wider than the one before it means the instance lacks the structure
 behind its block bound: ``reduce`` exits 2.
 
 Exit codes: 0 success, 2 verification failure, 3 I/O error, 4 contract
-violation, numerical failure (a solver or SVD that does not converge) or a
-size that does not fit in memory.
+violation, numerical failure (an SVD that does not converge, or a solved
+instance that does not certify) or a size that does not fit in memory.
 All reports are JSON with a fixed schema version and relative residuals;
 complex numbers are encoded as [real, imag] pairs.
 """

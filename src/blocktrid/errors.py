@@ -33,4 +33,5 @@ class GenerationError(RuntimeError):
 
 
 class SolverFailure(RuntimeError):
-    """The commutator-equation solver did not converge."""
+    """A constructed solution of the commutator equation does not certify
+    against the given perturbation."""

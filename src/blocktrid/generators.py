@@ -25,8 +25,7 @@ from .almostnormal import (
     starting_block_rank_one,
 )
 from .errors import GenerationError, SingularityError, SolverFailure
-from .matcore import as_square, commutator, fro, svd
-from .structure import _envelope_mask
+from .matcore import as_square, svd
 
 FAMILIES = (
     "arrow_h1",
@@ -42,10 +41,6 @@ FAMILIES = (
 _FAMILY_CODES = {name: i + 1 for i, name in enumerate(FAMILIES)}
 
 CURVES = ("circle", "line", "parabola_arc")
-
-#: Damped Gauss-Newton steps per attempt of :func:`solve_commutator_equation`.
-GAUSS_NEWTON_ITERS = 50
-
 
 @dataclass(frozen=True)
 class GeneratedInstance:
@@ -306,101 +301,32 @@ def random_unitary_plus_rank_one(n: int, seed: int) -> GeneratedInstance:
     )
 
 
-def _vec(M):
-    return M.reshape(-1, order="F")
-
-
-def _unvec(p, n):
-    return p.reshape((n, n), order="F")
-
-
-def _real_residual(X, C):
-    g = _vec(commutator(X, C))
-    return np.concatenate([g.real, g.imag])
-
-
-def _gauss_newton(X, C):
-    """Damped Gauss-Newton on the real parametrization of the commutator
-    equation.  Returns (X, converged).
-
-    Convergence means a residual at most 1e-10 * max(1, ||X||_F^2), but the
-    iteration keeps polishing down to the 1e-13 level so that converged
-    instances carry their block structure well below the rank tolerances.
-    """
-    n = X.shape[0]
-    eye = np.eye(n)
-    q = np.arange(n * n)
-    transpose = (q % n) * n + q // n  # vec(M^T) = vec(M)[transpose]
-
-    def done(M):
-        return fro(commutator(M, C)) <= 1e-10 * max(1.0, fro(M) ** 2)
-
-    for _ in range(GAUSS_NEWTON_ITERS):
-        if fro(commutator(X, C)) <= 1e-13 * max(1.0, fro(X) ** 2):
-            return X, True
-        J1 = (
-            np.kron(eye, X.conj().T)
-            - np.kron(X.conj(), eye)
-            - np.kron(eye, C)
-            + np.kron(C.T, eye)
-        )
-        J2 = (np.kron(X.T, eye) - np.kron(eye, X))[:, transpose]
-        A_ = J1 + J2
-        B_ = J1 - J2
-        J = np.block([[A_.real, -B_.imag], [A_.imag, B_.real]])
-        r = _real_residual(X, C)
-        g = J.T @ r
-        Hmat = J.T @ J + 1e-8 * np.eye(J.shape[1])
-        step = -np.linalg.solve(Hmat, g)
-        base = np.linalg.norm(r)
-        t = 1.0
-        improved = False
-        while t >= 2.0**-20:
-            Xt = X + _unvec(
-                t * (step[: n * n] + 1j * step[n * n :]), n
-            )
-            if np.linalg.norm(_real_residual(Xt, C)) < base:
-                X = Xt
-                improved = True
-                break
-            t /= 2.0
-        if not improved:
-            break
-    return X, done(X)
-
-
-def _block_tridiagonal_init(rng, n: int) -> np.ndarray:
-    X = _crandn(rng, n, n)
-    X[~_envelope_mask((2,) * (n // 2) + (1,) * (n % 2), n)] = 0.0
-    return X
-
-
 def solve_commutator_equation(C, seed: int = 0) -> GeneratedInstance:
-    """Numerically solve X^H X - X X^H = C X - X C for a rank-one C.
+    """An X with X^H X - X X^H = C X - X C for a rank-one C, in closed form.
 
-    Uses damped Gauss-Newton over the real parametrization, started from
-    seeded random matrices confined to a block tridiagonal envelope with
-    2 x 2 blocks (the shape in which solutions are known to exist).  Up to
-    eight restarts with fresh streams are attempted; success means a residual
-    at most ``1e-10 * max(1, ||X||_F^2)``.  The zero perturbation is answered
-    directly with a seeded random normal matrix, which has no start.  Other
-    starts are :func:`starting_block_rank_one`.
+    With C = sigma a b^H (its SVD), u = sigma a and v = b, the block
+    :func:`starting_block_rank_one` ``(C, u, v)`` picks the class and is the
+    start.  For [u], C = alpha a a^H with alpha = sigma b^H a, and
+    X = w (H + x y^H) with H seeded Hermitian, x = (i/2) a, y = a and
+    w = -i conj(alpha): the Hermitian class's C = -i a a^H times conj(w).
+    For [u, v], X = U + x y^H with x = c b, y = a, a seeded Haar unitary
+    reflected so that U a = b, and c = (sigma - 2 + sqrt(sigma^2 + 4)) / 2:
+    the unitary class's C is c a b^H (1 + 1 / (1 + c)) = C, with margin
+    1 + c.  ``perturbation_data`` holds u, v, the operands under the class
+    constructors' keys (and ``w``), and C last.  Any size is accepted.  The
+    zero perturbation is answered with a seeded random normal matrix, which
+    has no start.
 
-    Sizes above 16 are rejected; the dense Jacobian makes larger systems
-    pointless for a test-instance generator.
-
-    Raises ``SolverFailure`` when no restart converges; convergence of the
-    iteration is heuristic.
+    Raises ``SolverFailure`` when X does not certify against the given C
+    with rank 1, as for a C near but not within roundoff of alpha a a^H.
     """
     C = as_square(C, "C")
     n = C.shape[0]
-    if n > 16:
-        raise ValueError(f"solver is limited to n <= 16, got {n}")
     sv = svd(C)
     if sv.numerical_rank > 1:
         raise ValueError(f"C must have rank at most 1, got rank {sv.numerical_rank}")
+    rng = _rng("solved_commutator", seed)
     if sv.numerical_rank == 0:
-        rng = _rng("solved_commutator", seed)
         lam = _crandn(rng, n)
         Q = _haar_unitary(rng, n)
         X = (Q * lam[None, :]) @ Q.conj().T
@@ -412,22 +338,41 @@ def solve_commutator_equation(C, seed: int = 0) -> GeneratedInstance:
             seed=seed,
             start=None,
         )
-    u = sv.singular_values[0] * sv.left_vectors[:, 0]
-    v = sv.right_vectors[:, 0]
-    for attempt in range(8):
-        rng = _rng("solved_commutator", seed, (attempt,))
-        X0 = _block_tridiagonal_init(rng, n)
-        X, ok = _gauss_newton(X0, C)
-        if ok:
-            return GeneratedInstance(
-                matrix=X,
-                family="solved_commutator",
-                perturbation_data={"u": u, "v": v, "C": C},
-                certificate=certify(X, C, 1),
-                seed=seed,
-                start=starting_block_rank_one(X, u, v),
-            )
-    raise SolverFailure(
-        "commutator equation solver did not converge after 8 restarts "
-        f"(n = {n}, seed = {seed}); retry with a different seed"
+    sigma = sv.singular_values[0]
+    a = sv.left_vectors[:, 0]
+    b = sv.right_vectors[:, 0]
+    u, v = sigma * a, b
+    start = starting_block_rank_one(C, u, v)
+    if start.shape[1] == 1:
+        G = _crandn(rng, n, n)
+        H = (G + G.conj().T) / 2
+        x, y = 0.5j * a, a
+        w = -1j * np.conj(sigma * np.vdot(b, a))
+        X = w * (H + np.outer(x, y.conj()))
+        data = {"u": u, "v": v, "hermitian": H, "x": x, "y": y, "w": w}
+    else:
+        U = _haar_unitary(rng, n)
+        # reflect p = U a onto phase * b, where the phase makes b^H p real
+        p = U @ a
+        phase = np.exp(1j * np.angle(np.vdot(b, p)))
+        r = p - phase * b
+        r /= np.linalg.norm(r)
+        U = (U - 2.0 * np.outer(r, r.conj() @ U)) / phase
+        c = (sigma - 2.0 + np.sqrt(sigma * sigma + 4.0)) / 2.0
+        x, y = c * b, a
+        X = U + np.outer(x, y.conj())
+        data = {"u": u, "v": v, "unitary": U, "x": x, "y": y}
+    cert = certify(X, C, 1)
+    if not cert.valid:
+        raise SolverFailure(
+            f"the closed-form X does not certify against C (residual "
+            f"{cert.residual:.3e}, n = {n}, seed = {seed})"
+        )
+    return GeneratedInstance(
+        matrix=X,
+        family="solved_commutator",
+        perturbation_data={**data, "C": C},
+        certificate=cert,
+        seed=seed,
+        start=start,
     )

@@ -19,6 +19,8 @@ from blocktrid import (
     fro,
     hermitian_part,
     orthonormal_range,
+    perturbation_hermitian_rank_one,
+    perturbation_unitary_rank_one,
     random_unitary_plus_rank_one,
     rotate_leading_form,
     solve_commutator_equation,
@@ -26,6 +28,8 @@ from blocktrid import (
     starting_block_rank_one,
     subspace_inclusion_residual,
 )
+
+from helpers import crandn
 
 
 def _always_singular(U, x, y):
@@ -331,10 +335,7 @@ class TestCommutatorSolver:
     def test_independent_rank_one(self):
         C = np.zeros((6, 6), dtype=complex)
         C[0, 1] = 1.0
-        try:
-            inst = solve_commutator_equation(C, seed=7)
-        except SolverFailure:
-            pytest.skip("commutator solver did not converge (heuristic)")
+        inst = solve_commutator_equation(C, seed=7)
         X = inst.matrix
         gap = fro(commutator(X) - (C @ X - X @ C))
         assert gap <= 1e-10 * max(1.0, fro(X) ** 2)
@@ -344,13 +345,62 @@ class TestCommutatorSolver:
         with pytest.raises(ValueError):
             solve_commutator_equation(np.diag([1.0, 2.0, 0.0]))
 
-    def test_large_size_rejected(self):
-        with pytest.raises(ValueError):
-            solve_commutator_equation(np.zeros((17, 17)))
+    def test_large_sizes_certify(self):
+        for n in (17, 256):
+            for c_kind in ("independent", "dependent"):
+                cert = _solved(n, 0, c_kind).certificate
+                assert cert.valid and cert.perturbation_rank == 1
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
             solve_commutator_equation(np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    @pytest.mark.parametrize("c_kind", ["independent", "dependent"])
+    def test_operands_rebuild_the_instance(self, c_kind, n):
+        """X is the class's formula of the recorded operands, bit for bit,
+        and C is the class's perturbation of them (times conj(w) for the
+        rescaled Hermitian class)."""
+        rng = np.random.default_rng([n, c_kind == "dependent"])
+        a, b = crandn(rng, n), crandn(rng, n)
+        if c_kind == "dependent":
+            b = (0.3 - 1.7j) * a
+        C = np.outer(a, b.conj())
+        inst = solve_commutator_equation(C, seed=n)
+        data = inst.perturbation_data
+        assert np.array_equal(data["C"], C)
+        x, y = data["x"], data["y"]
+        if c_kind == "dependent":
+            assert list(data) == ["u", "v", "hermitian", "x", "y", "w", "C"]
+            H = data["hermitian"]
+            assert np.array_equal(H, H.conj().T)
+            rebuilt = data["w"] * (H + np.outer(x, y.conj()))
+            formula = np.conj(data["w"]) * perturbation_hermitian_rank_one(x, y)
+        else:
+            assert list(data) == ["u", "v", "unitary", "x", "y", "C"]
+            U = data["unitary"]
+            assert fro(U.conj().T @ U - np.eye(n)) <= 1e-14 * np.sqrt(n)
+            rebuilt = U + np.outer(x, y.conj())
+            formula = perturbation_unitary_rank_one(U, x, y)
+        assert np.array_equal(inst.matrix, rebuilt)
+        assert fro(formula - C) <= 1e-14 * fro(C)
+        assert inst.start.shape[1] == (1 if c_kind == "dependent" else 2)
+
+    @pytest.mark.parametrize("eps", [10.0**-k for k in range(4, 13)])
+    def test_near_parallel_certifies_or_raises(self, eps):
+        """Between the kinds, a call returns a valid certificate or raises."""
+        rng = np.random.default_rng(32)
+        a = crandn(rng, 32)
+        a /= np.linalg.norm(a)
+        z = crandn(rng, 32)
+        z -= a * np.vdot(a, z)
+        z /= np.linalg.norm(z)
+        C = (2 + 1j) * np.outer(a, (np.cos(eps) * a + np.sin(eps) * z).conj())
+        try:
+            inst = solve_commutator_equation(C, seed=0)
+        except SolverFailure:
+            return
+        assert inst.certificate.valid
 
 
 def _solved(n, seed, c_kind):
@@ -359,10 +409,7 @@ def _solved(n, seed, c_kind):
         C[0, 0] = 2.0
     else:
         C[0, 1] = 1.0
-    try:
-        return solve_commutator_equation(C, seed=seed)
-    except SolverFailure:
-        pytest.skip("commutator solver did not converge (heuristic)")
+    return solve_commutator_equation(C, seed=seed)
 
 
 def _family_rule(inst):
