@@ -27,6 +27,7 @@ from .matcore import (
     _check_tol,
     _checked_svd,
     _count_above,
+    _perturbation_sketch,
     antihermitian_part,
     as_matrix,
     as_pair,
@@ -87,13 +88,31 @@ def certify(A, C, k: int, tol: float = DEFAULT_TOL) -> CommutatorCertificate:
     counts are the full spectrum's either way.  No singular vectors are
     computed until ``range_basis`` is read.  A claimed rank ``k`` that is
     not a non-negative integer raises ``ValueError``.
+
+    Two dense products suffice.  The residual is that of the defect
+    M = commutator(A, C), and since A^H A - A A^H = M + (C A - A C),
+    Delta(A) is read off M through C's rank-8 sketch C = Q B + E, the one
+    that also counts C's rank, as M + Q (B A) - (A Q) B, in O(n^2 k) work,
+    when :func:`~blocktrid.matcore._perturbation_sketch` says the sketch
+    holds C (E at roundoff).  A C it cannot hold (rank above 8, or
+    n <= 8) takes ``commutator(A)``, two more products.
     """
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
         raise ValueError(f"claimed rank k must be a non-negative integer, got {k!r}")
     A, C = as_pair(A, C)
-    residual = commutator_residual(A, C)
-    dim = _count_above(commutator(A), tol, fro(A) ** 2, hermitian=True)
-    rank_c = _count_above(C, tol)
+    scale = fro(A) ** 2
+    delta = commutator(A, C)
+    residual = fro(delta) / scale if scale else 0.0
+    sketch, held = _perturbation_sketch(C)
+    if held:
+        Q, B, _ = sketch  # C A - A C from C's factors, E at roundoff dropped
+        delta += Q @ (B @ A)
+        delta -= (A @ Q) @ B
+    else:
+        del delta  # not held while Delta(A) is formed
+        delta = commutator(A)
+    dim = _count_above(delta, tol, scale, hermitian=True)
+    rank_c = _count_above(C, tol, sketch=sketch)
     return CommutatorCertificate(
         perturbation=C,
         claimed_rank=int(k),

@@ -48,7 +48,7 @@ from .generators import (
     solve_commutator_equation,
 )
 from .lanczos import block_lanczos
-from .matcore import fro
+from .matcore import _perturbation_sketch, as_pair, fro
 from .mmio import MatrixMarketError, read_matrix, write_matrix
 from .structure import off_profile_residual, qr_iteration_tracked
 
@@ -209,6 +209,18 @@ def _read(path, inputs):
     return data
 
 
+def _reduced_perturbation(A, C, U):
+    """U^H C U for the perturbation C of A: (Q^H U)^H (B U) in O(n^2 k) from
+    C's sketch C = Q B + E when the sketch holds C, else the dense product.
+    The factors die on return, before any output is written."""
+    _, C = as_pair(A, C)
+    sketch, held = _perturbation_sketch(C)
+    if not held:
+        return U.conj().T @ C @ U
+    Q, B, _ = sketch
+    return (Q.conj().T @ U).conj().T @ (B @ U)
+
+
 def cmd_reduce(args, argv) -> int:
     t0 = time.perf_counter()
     inputs: dict[str, str] = {}
@@ -259,7 +271,7 @@ def cmd_reduce(args, argv) -> int:
     }
     files = {"basis": "U.mtx", "matrix_trid": "A_trid.mtx"}
     if has_c:
-        C_trid = U.conj().T @ C @ U
+        C_trid = _reduced_perturbation(A, C, U)
         del C  # C_trid takes its place in memory during the writes below
         files["perturbation_trid"] = "C_trid.mtx"
         residuals["certificate"] = commutator_residual(A_trid, C_trid)

@@ -313,12 +313,15 @@ def solve_commutator_equation(C, seed: int = 0) -> GeneratedInstance:
     reflected so that U a = b, and c = (sigma - 2 + sqrt(sigma^2 + 4)) / 2:
     the unitary class's C is c a b^H (1 + 1 / (1 + c)) = C, with margin
     1 + c.  ``perturbation_data`` holds u, v, the operands under the class
-    constructors' keys (and ``w``), and C last.  Any size is accepted.  The
-    zero perturbation is answered with a seeded random normal matrix, which
-    has no start.
+    constructors' keys (and ``w``), and C last.  Any size is accepted.  A
+    dependent X that does not certify, as for a b within the start's 1e-8
+    cut of a but not within roundoff of it, gives way to the independent X
+    with start [u, v], which holds for every a and b.  The zero
+    perturbation is answered with a seeded random normal matrix, which has
+    no start.
 
     Raises ``SolverFailure`` when X does not certify against the given C
-    with rank 1, as for a C near but not within roundoff of alpha a a^H.
+    with rank 1.
     """
     C = as_square(C, "C")
     n = C.shape[0]
@@ -350,7 +353,12 @@ def solve_commutator_equation(C, seed: int = 0) -> GeneratedInstance:
         w = -1j * np.conj(sigma * np.vdot(b, a))
         X = w * (H + np.outer(x, y.conj()))
         data = {"u": u, "v": v, "hermitian": H, "x": x, "y": y, "w": w}
-    else:
+        cert = certify(X, C, 1)
+        if not cert.valid:
+            # b within the start's cut of a but not within roundoff of it:
+            # the dependent X certifies only to about sigma |angle|
+            start = np.column_stack([u, v])
+    if start.shape[1] == 2:
         U = _haar_unitary(rng, n)
         # reflect p = U a onto phase * b, where the phase makes b^H p real
         p = U @ a
@@ -362,7 +370,7 @@ def solve_commutator_equation(C, seed: int = 0) -> GeneratedInstance:
         x, y = c * b, a
         X = U + np.outer(x, y.conj())
         data = {"u": u, "v": v, "unitary": U, "x": x, "y": y}
-    cert = certify(X, C, 1)
+        cert = certify(X, C, 1)
     if not cert.valid:
         raise SolverFailure(
             f"the closed-form X does not certify against C (residual "

@@ -29,6 +29,26 @@ from .errors import DimensionError, NumericalError
 DEFAULT_TOL = 1e-10
 
 
+#: Entries that :func:`_check_finite` checks per row chunk (one row at least).
+_FINITE_CHUNK = 1 << 16
+
+
+def _check_finite(arr, name: str) -> None:
+    """Raise ``ValueError`` unless every entry of the nonempty complex 1-D or
+    2-D ``arr`` is finite.  Rows are checked a chunk of at most
+    ``_FINITE_CHUNK`` entries (or one row) at a time, over the chunk's
+    float64 view when it is contiguous, so the check holds one chunk's
+    boolean mask, never one of the whole array."""
+    rows = arr.reshape(arr.shape[0], -1)
+    step = max(1, _FINITE_CHUNK // rows.shape[1])
+    for i in range(0, rows.shape[0], step):
+        part = rows[i : i + step]
+        if part.flags.c_contiguous:
+            part = part.view(np.float64)
+        if not np.isfinite(part).all():
+            raise ValueError(f"{name} contains non-finite entries")
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a validated 2-D complex128 array (rows, cols >= 1, finite)."""
     arr = np.asarray(a, dtype=np.complex128)
@@ -36,8 +56,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise DimensionError(f"{name} must be 2-D, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise DimensionError(f"{name} must be nonempty, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise ValueError(f"{name} contains non-finite entries")
+    _check_finite(arr, name)
     return arr
 
 
@@ -48,8 +67,7 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
         arr = arr[:, 0]
     if arr.ndim != 1 or arr.size < 1:
         raise DimensionError(f"{name} must be a nonempty vector")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise ValueError(f"{name} contains non-finite entries")
+    _check_finite(arr, name)
     return arr
 
 
@@ -234,7 +252,31 @@ def _sketch_basis(M):
     return Q, B, fro(E)
 
 
-def _count_above(M, tol: float, scale=None, hermitian: bool = False) -> int:
+def _perturbation_sketch(C):
+    """``(sketch, held)`` for a validated square C: the package's one rule
+    for "the sketch holds C", which ``certify``, ``blocktrid reduce`` and the
+    QR tracker share.
+
+    ``sketch`` is :func:`_sketch_basis`'s (Q, B, e), C = Q B + E with
+    e = ||E||_F, when the sketch applies to C as in :func:`_count_above`
+    (order above ``SKETCH_COLUMNS`` and 1e-250 < ||C||_F < 1e250), else
+    None.  ``held`` says e <= sqrt(n) eps ||C||_F, the probabilistic
+    rounding bound of one product with n-term inner products (Higham &
+    Mary, SISC 41, 2019), below what forming C left in it (a reduced
+    C_trid = U^H C U takes two such products).  So no rank is truncated:
+    only an E at roundoff is dropped, and it moves the relative residual
+    ||commutator(A, C)||_F / ||A||_F^2 by at most
+    ||A E - E A||_F / ||A||_F^2 <= 2 ||E||_F / ||A||_F.
+    """
+    n = C.shape[0]
+    norm = fro(C)
+    if not (n > SKETCH_COLUMNS and 1e-250 < norm < 1e250):
+        return None, False
+    sketch = _sketch_basis(C)
+    return sketch, bool(sketch[2] <= np.sqrt(n) * np.finfo(np.float64).eps * norm)
+
+
+def _count_above(M, tol: float, scale=None, hermitian: bool = False, sketch=None) -> int:
     """``_count_rule`` of the singular values of a validated M, proven from a
     rank-``SKETCH_COLUMNS`` sketch when it can be, else from all of them.
 
@@ -250,14 +292,15 @@ def _count_above(M, tol: float, scale=None, hermitian: bool = False) -> int:
     other case (a value within e of the cut, rank above 8, a side of at
     most 8, a norm outside (1e-250, 1e250), where the products could over-
     or underflow) takes the full singular values, or the eigenvalue moduli
-    when ``hermitian``.  The zero matrix counts 0.
+    when ``hermitian``.  The zero matrix counts 0.  ``sketch``, when given,
+    is :func:`_sketch_basis` of M, already formed by the caller.
     """
     _check_tol(tol)
     norm = fro(M)
     if norm == 0.0:
         return 0
     if min(M.shape) > SKETCH_COLUMNS and 1e-250 < norm < 1e250:
-        _, B, e = _sketch_basis(M)
+        _, B, e = sketch or _sketch_basis(M)
         e += 64 * np.finfo(np.float64).eps * np.sqrt(max(M.shape)) * norm
         s = _checked_svd(B, compute_uv=False)
         if scale is None:

@@ -4,8 +4,8 @@ Matrices travel as Matrix Market dense arrays (``%%MatrixMarket matrix array
 complex general``, column-major entry order).  Each component is written as
 the shortest decimal that round-trips binary64 (orjson's formatter, whole
 columns per call, up to 2,048 entries or one longer column, so the text stays
-bounded, though ``as_matrix`` first builds a rows x cols boolean finiteness
-mask); every value reads back bit for bit, the sign of a zero included, and
+bounded, as does ``as_matrix``'s finiteness check, one row chunk at a time);
+every value reads back bit for bit, the sign of a zero included, and
 ``scipy.io.mmread`` reads the files.  Real arrays are accepted on input.
 
 Reading parses a body in the writer's layout (one entry per line, tokens

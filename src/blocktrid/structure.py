@@ -21,11 +21,10 @@ from .almostnormal import commutator_residual
 from .errors import ContractError, DimensionError
 from .matcore import (
     DEFAULT_TOL,
-    SKETCH_COLUMNS,
     _check_tol,
     _checked_svd,
     _estimated_commutator_residual,
-    _sketch_basis,
+    _perturbation_sketch,
     as_pair,
     as_square,
     fro,
@@ -169,26 +168,18 @@ def _wilkinson_shift(block) -> complex:
 def _perturbation_factors(C) -> np.ndarray:
     """F = [L, R] with C = L R^H + E, the factors the tracker carries.
 
-    For n > ``SKETCH_COLUMNS`` and :func:`_sketch_basis`'s C = Q B + E,
-    F = [Q, B^H] (n x 16) when ||E||_F <= sqrt(n) eps ||C||_F, otherwise
+    F = [Q, B^H] (n x 16) from C's sketch C = Q B + E when
+    :func:`_perturbation_sketch` says it holds C (E at roundoff), otherwise
     F = [C, I] (n x 2n, E = 0: two n x n arrays more than a dense C), as for
-    every n <= ``SKETCH_COLUMNS``; the zero C gives width 0.  The cut is the
-    probabilistic rounding bound of one product with n-term inner products
-    (Higham & Mary, SISC 41, 2019), below what forming C left in it (a
-    reduced C_trid = U^H C U takes two such products), so no rank is
-    truncated: only an E at roundoff is dropped, and it moves the relative
-    residual ||commutator(A, C)||_F / ||A||_F^2 by at most
-    ||A E - E A||_F / ||A||_F^2 <= 2 ||E||_F / ||A||_F.
+    every n <= ``SKETCH_COLUMNS``; the zero C gives width 0.
     """
-    n = C.shape[0]
-    norm = fro(C)
-    if norm == 0.0:
+    if fro(C) == 0.0:
         return C[:, :0].copy()
-    if n > SKETCH_COLUMNS:
-        Q, B, e = _sketch_basis(C)
-        if e <= np.sqrt(n) * np.finfo(np.float64).eps * norm:
-            return np.hstack((Q, B.conj().T))
-    return np.hstack((C, np.eye(n, dtype=C.dtype)))
+    sketch, held = _perturbation_sketch(C)
+    if held:
+        Q, B, _ = sketch
+        return np.hstack((Q, B.conj().T))
+    return np.hstack((C, np.eye(C.shape[0], dtype=C.dtype)))
 
 
 def _banded_qr_step(A, F, m, band):

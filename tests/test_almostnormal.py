@@ -151,6 +151,12 @@ def _certify_instances(family, n):
             inst = chebyshev_colleague(np.concatenate([[1.0], rng.uniform(-1.0, 1.0, n)]))
         elif family in ("circle", "line"):
             inst = curve_normal_plus_rank_one(n, family, seed)
+        elif family == "full-rank":
+            # any invertible A satisfies the relation with the dense
+            # C = A^H - A^{-1}, which the rank-8 sketch cannot hold
+            A = crandn(np.random.default_rng([0xF0, seed]), n, n)
+            yield A, A.conj().T - np.linalg.inv(A), 2
+            continue
         else:
             C = np.zeros((n, n), dtype=complex)
             C[0, seed % 2] = 2.0  # dependent (0, 0) and independent (0, 1)
@@ -176,7 +182,8 @@ _CERTIFY_CASES = [
     (family, n)
     for family in ("arrow", "unitary", "companion", "colleague", "circle", "line")
     for n in (8, 64, 256)
-] + [("solved", 8), ("solved", 16), ("solved", 64), ("solved", 256)]
+] + [("solved", 8), ("solved", 16), ("solved", 64), ("solved", 256)] + [
+    ("arrow", 512), ("unitary", 512), ("full-rank", 64)]
 
 
 class TestCertifyAgainstFullSvd:

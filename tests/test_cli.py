@@ -14,8 +14,9 @@ import pytest
 from blocktrid.almostnormal import (
     CommutatorCertificate, ConicCoefficients, certify, commutator_residual,
 )
-from blocktrid import cli, generators, mmio
+from blocktrid import almostnormal, cli, generators, mmio
 from blocktrid.errors import SingularityError
+from blocktrid.matcore import fro
 from blocktrid.cli import main
 from blocktrid.mmio import read_matrix, write_matrix
 
@@ -573,6 +574,53 @@ class TestSkewOutsideStart:
             skews.append(load_report(red / "report.json")["skew_outside_start"])
         assert np.all(np.isfinite(skews))
         assert np.allclose(skews, skews[0], rtol=1e-12)
+
+
+class TestPerturbationFactors:
+    """``reduce`` forms C_trid from the factors of C's rank-8 sketch when the
+    sketch holds C, and U^H C U otherwise; ``certify`` evaluates one dense
+    commutator when the sketch holds C, and two otherwise."""
+
+    @pytest.mark.parametrize("family", ["arrow", "unitary"])
+    def test_factored_c_trid_within_roundoff(self, tmp_path, family):
+        gen, red = tmp_path / "gen", tmp_path / "red"
+        assert run("generate", "--family", family, "--n", "256", "--seed", "0",
+                   "--out", str(gen)) == 0
+        assert run("reduce", str(gen), "--out", str(red)) == 0
+        C, U = read_matrix(gen / "C.mtx"), read_matrix(red / "U.mtx")
+        gap = fro(read_matrix(red / "C_trid.mtx") - U.conj().T @ C @ U)
+        assert gap <= 2 * np.sqrt(256) * np.finfo(np.float64).eps * fro(C)
+
+    def test_rank_above_eight_takes_the_dense_product(self, tmp_path):
+        gen, red = tmp_path / "gen", tmp_path / "red"
+        assert run("generate", "--family", "arrow", "--n", "32", "--seed", "0",
+                   "--out", str(gen)) == 0
+        write_matrix(gen / "C.mtx", crandn(np.random.default_rng(9), 32, 32))
+        assert run("reduce", str(gen), "--out", str(red)) == 2
+        C, U = read_matrix(gen / "C.mtx"), read_matrix(red / "U.mtx")
+        assert np.array_equal(read_matrix(red / "C_trid.mtx"), U.conj().T @ C @ U)
+
+    def test_dense_commutators_per_command(self, tmp_path, monkeypatch):
+        calls = []
+        commutator = almostnormal.commutator
+
+        def counted(*args):
+            calls.append(len(args))
+            return commutator(*args)
+
+        monkeypatch.setattr(almostnormal, "commutator", counted)
+        gen = tmp_path / "gen"
+        assert run("generate", "--family", "arrow", "--n", "64", "--seed", "0",
+                   "--out", str(gen)) == 0
+        assert calls == [2]
+        calls.clear()
+        assert run("verify", str(gen / "A.mtx"), str(gen / "C.mtx")) == 0
+        assert calls == [2]
+        calls.clear()
+        dense = tmp_path / "dense.mtx"
+        write_matrix(dense, crandn(np.random.default_rng(9), 64, 64))
+        assert run("verify", str(gen / "A.mtx"), str(dense)) == 2
+        assert calls == [2, 1]
 
 
 class TestVerify:

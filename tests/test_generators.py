@@ -402,6 +402,26 @@ class TestCommutatorSolver:
             return
         assert inst.certificate.valid
 
+    def test_near_parallel_at_start_cut_takes_independent_kind(self):
+        """b at an angle of 1e-8 to a passes the start's cut as dependent,
+        where the dependent X certifies only to about that angle; the
+        independent X then certifies and reduces with blocks of 2."""
+        rng = np.random.default_rng(32)
+        a = crandn(rng, 32)
+        a /= np.linalg.norm(a)
+        z = crandn(rng, 32)
+        z -= a * np.vdot(a, z)
+        z /= np.linalg.norm(z)
+        eps = 1e-8
+        C = (2 + 1j) * np.outer(a, (np.cos(eps) * a + np.sin(eps) * z).conj())
+        inst = solve_commutator_equation(C, seed=0)
+        assert inst.certificate.valid
+        assert inst.start.shape[1] == 2
+        assert list(inst.perturbation_data) == ["u", "v", "unitary", "x", "y", "C"]
+        red = block_lanczos(inst.matrix, inst.start)
+        assert max(red.block_sizes) <= 2
+        assert red.breakdown_events == ()
+
 
 def _solved(n, seed, c_kind):
     C = np.zeros((n, n), dtype=complex)

@@ -84,7 +84,7 @@ def test_any_finite_array_round_trips(tmp_path_factory, parts):
     assert np.array_equal(scipy.io.mmread(path), M)
 
 
-@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("n", [256, 1024, 2048])
 def test_write_formats_bounded_chunks(tmp_path, n):
     """The writer holds one chunk's text, never the body's: under the
     matrix's own size, and under a fixed 2 MiB (at 1024 the body is about

@@ -12,6 +12,7 @@ from blocktrid import (
     block_lanczos,
     block_profile,
     certify,
+    chebyshev_colleague,
     commutator,
     commutator_residual,
     companion,
@@ -28,7 +29,7 @@ from blocktrid.cli import main
 from blocktrid.matcore import _estimated_commutator_residual, _sketch
 from blocktrid.mmio import read_matrix, write_matrix
 
-from helpers import crandn, planted_tridiagonal
+from helpers import colleague_coeffs, companion_coeffs, crandn, planted_tridiagonal
 
 
 def reduced_companion(n=32, seed=12345):
@@ -615,6 +616,29 @@ class TestQrIterationTracked:
         assert rep.c_residual == commutator_residual(
             rep.final_matrix, rep.final_perturbation
         )
+
+
+_CONVERGED_FAMILIES = {
+    "arrow": lambda: arrow_hermitian_plus_rank_one(128, 0),
+    "colleague": lambda: chebyshev_colleague(colleague_coeffs(128, 0)),
+    "line": lambda: curve_normal_plus_rank_one(128, "line", 0),
+    "unitary": lambda: random_unitary_plus_rank_one(128, 0),
+    "companion": lambda: companion(companion_coeffs(128, 0)),
+    "circle": lambda: curve_normal_plus_rank_one(128, "circle", 0),
+}
+
+
+@pytest.mark.parametrize("family", list(_CONVERGED_FAMILIES))
+def test_rank_bound_to_full_convergence(family):
+    """From the family's own start, as ``blocktrid reduce`` runs it, the QR
+    iteration at the CLI's tol converges every eigenvalue within 1000 steps
+    with no maximal submatrix above the envelope of rank above 2."""
+    inst = _CONVERGED_FAMILIES[family]()
+    A, C = inst.matrix, inst.perturbation_data["C"]
+    U = block_lanczos(A, inst.start).basis
+    rep = qr_iteration_tracked(U.conj().T @ A @ U, U.conj().T @ C @ U, 1000, tol=1e-8)
+    assert all(max(rec.off_profile_block_ranks) <= 2 for rec in rep.iterations)
+    assert len(rep.converged_eigenvalues) == 128
 
 
 def with_rank_one_defect(A, C, residual, seed=5):
