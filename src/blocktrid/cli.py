@@ -48,7 +48,7 @@ from .generators import (
     solve_commutator_equation,
 )
 from .lanczos import block_lanczos
-from .matcore import _perturbation_sketch, as_pair, fro
+from .matcore import DEFAULT_TOL, _perturbation_factors, as_pair, fro
 from .mmio import MatrixMarketError, read_matrix, write_matrix
 from .structure import off_profile_residual, qr_iteration_tracked
 
@@ -209,18 +209,6 @@ def _read(path, inputs):
     return data
 
 
-def _reduced_perturbation(A, C, U):
-    """U^H C U for the perturbation C of A: (Q^H U)^H (B U) in O(n^2 k) from
-    C's sketch C = Q B + E when the sketch holds C, else the dense product.
-    The factors die on return, before any output is written."""
-    _, C = as_pair(A, C)
-    sketch, held = _perturbation_sketch(C)
-    if not held:
-        return U.conj().T @ C @ U
-    Q, B, _ = sketch
-    return (Q.conj().T @ U).conj().T @ (B @ U)
-
-
 def cmd_reduce(args, argv) -> int:
     t0 = time.perf_counter()
     inputs: dict[str, str] = {}
@@ -271,8 +259,9 @@ def cmd_reduce(args, argv) -> int:
     }
     files = {"basis": "U.mtx", "matrix_trid": "A_trid.mtx"}
     if has_c:
-        C_trid = _reduced_perturbation(A, C, U)
-        del C  # C_trid takes its place in memory during the writes below
+        L, R = _perturbation_factors(as_pair(A, C)[1])[:2]
+        C_trid = (L.conj().T @ U).conj().T @ (R.conj().T @ U)
+        del C, L, R  # C_trid takes C's place in memory during the writes below
         files["perturbation_trid"] = "C_trid.mtx"
         residuals["certificate"] = commutator_residual(A_trid, C_trid)
     # every output is formed before the first is written
@@ -403,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     red.add_argument("input", help="manifest directory or matrix file")
     red.add_argument("--start", default="auto", help="starting block file, or 'auto'")
     red.add_argument(
-        "--tol", type=float, default=1e-10,
+        "--tol", type=float, default=DEFAULT_TOL,
         help="relative rank tolerance, at least n * eps (2.2e-16 n); a smaller one exits 4",
     )
     red.add_argument("--out", default=".")
@@ -418,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     spy = sub.add_parser("spy", help="render the sparsity pattern")
     spy.add_argument("matrix")
-    spy.add_argument("--tol", type=float, default=1e-10)
+    spy.add_argument("--tol", type=float, default=DEFAULT_TOL)
     spy.add_argument("--format", default="ascii", choices=("ascii", "pgm"))
     spy.add_argument("--out")
     spy.set_defaults(func=cmd_spy)

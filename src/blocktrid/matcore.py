@@ -252,28 +252,41 @@ def _sketch_basis(M):
     return Q, B, fro(E)
 
 
-def _perturbation_sketch(C):
-    """``(sketch, held)`` for a validated square C: the package's one rule
-    for "the sketch holds C", which ``certify``, ``blocktrid reduce`` and the
-    QR tracker share.
+def _sketch_applies(M, norm: float) -> bool:
+    """Whether the sketch may stand in for a validated M of Frobenius norm
+    ``norm``: both sides above ``SKETCH_COLUMNS`` and 1e-250 < norm < 1e250,
+    so that its products can neither over- nor underflow."""
+    return min(M.shape) > SKETCH_COLUMNS and 1e-250 < norm < 1e250
 
-    ``sketch`` is :func:`_sketch_basis`'s (Q, B, e), C = Q B + E with
-    e = ||E||_F, when the sketch applies to C as in :func:`_count_above`
-    (order above ``SKETCH_COLUMNS`` and 1e-250 < ||C||_F < 1e250), else
-    None.  ``held`` says e <= sqrt(n) eps ||C||_F, the probabilistic
+
+def _perturbation_factors(C):
+    """``(L, R, sketch)`` with C = L R^H + E for a validated square C: the
+    package's one form of a perturbation, which ``certify``,
+    ``blocktrid reduce`` and the QR tracker take as it comes.
+
+    The zero C gives n x 0 factors.  When the sketch applies to C (see
+    :func:`_sketch_applies`), ``sketch`` is :func:`_sketch_basis`'s
+    (Q, B, e), C = Q B + E with e = ||E||_F, else None; the factors are
+    (Q, B^H), n x 8, when e <= sqrt(n) eps ||C||_F, the probabilistic
     rounding bound of one product with n-term inner products (Higham &
     Mary, SISC 41, 2019), below what forming C left in it (a reduced
     C_trid = U^H C U takes two such products).  So no rank is truncated:
     only an E at roundoff is dropped, and it moves the relative residual
     ||commutator(A, C)||_F / ||A||_F^2 by at most
-    ||A E - E A||_F / ||A||_F^2 <= 2 ||E||_F / ||A||_F.
+    ||A E - E A||_F / ||A||_F^2 <= 2 ||E||_F / ||A||_F.  Every other C
+    (rank above 8, order at most 8) gets the exact pair (C, I), E = 0,
+    which costs its users an n x n identity and products of n x n, not
+    n x 8, factors.
     """
     n = C.shape[0]
     norm = fro(C)
-    if not (n > SKETCH_COLUMNS and 1e-250 < norm < 1e250):
-        return None, False
-    sketch = _sketch_basis(C)
-    return sketch, bool(sketch[2] <= np.sqrt(n) * np.finfo(np.float64).eps * norm)
+    if norm == 0.0:
+        return C[:, :0].copy(), C[:, :0].copy(), None
+    sketch = _sketch_basis(C) if _sketch_applies(C, norm) else None
+    if sketch is not None and sketch[2] <= np.sqrt(n) * np.finfo(np.float64).eps * norm:
+        Q, B, _ = sketch
+        return Q, B.conj().T, sketch
+    return C, np.eye(n, dtype=C.dtype), sketch
 
 
 def _count_above(M, tol: float, scale=None, hermitian: bool = False, sketch=None) -> int:
@@ -299,7 +312,7 @@ def _count_above(M, tol: float, scale=None, hermitian: bool = False, sketch=None
     norm = fro(M)
     if norm == 0.0:
         return 0
-    if min(M.shape) > SKETCH_COLUMNS and 1e-250 < norm < 1e250:
+    if _sketch_applies(M, norm):
         _, B, e = sketch or _sketch_basis(M)
         e += 64 * np.finfo(np.float64).eps * np.sqrt(max(M.shape)) * norm
         s = _checked_svd(B, compute_uv=False)

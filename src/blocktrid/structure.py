@@ -24,7 +24,7 @@ from .matcore import (
     _check_tol,
     _checked_svd,
     _estimated_commutator_residual,
-    _perturbation_sketch,
+    _perturbation_factors,
     as_pair,
     as_square,
     fro,
@@ -165,23 +165,6 @@ def _wilkinson_shift(block) -> complex:
     return complex(mu1) if abs(mu1 - d) <= abs(mu2 - d) else complex(mu2)
 
 
-def _perturbation_factors(C) -> np.ndarray:
-    """F = [L, R] with C = L R^H + E, the factors the tracker carries.
-
-    F = [Q, B^H] (n x 16) from C's sketch C = Q B + E when
-    :func:`_perturbation_sketch` says it holds C (E at roundoff), otherwise
-    F = [C, I] (n x 2n, E = 0: two n x n arrays more than a dense C), as for
-    every n <= ``SKETCH_COLUMNS``; the zero C gives width 0.
-    """
-    if fro(C) == 0.0:
-        return C[:, :0].copy()
-    sketch, held = _perturbation_sketch(C)
-    if held:
-        Q, B, _ = sketch
-        return np.hstack((Q, B.conj().T))
-    return np.hstack((C, np.eye(C.shape[0], dtype=C.dtype)))
-
-
 def _banded_qr_step(A, F, m, band):
     """In place A <- Q^H A Q and F <- Q^H F for QR = A[:m, :m], by panels:
     Q^H L R^H Q = (Q^H L) (Q^H R)^H, so the factors F = [L, R] of the
@@ -212,10 +195,10 @@ def qr_iteration_tracked(
     A_k - shift I in column panels of w = PANEL_WIDTH columns and w + b rows
     and applies the similarity Q^H . Q to A_k in O(n^2 (w + b)^2 / w) work,
     not O(n^3).  C_k, which the similarity keeps in the commutator relation,
-    travels as the factors F = [L_k, R_k] of C_k = L_k R_k^H (n x 16 for a
-    C of rank at most 8 up to roundoff; see ``_perturbation_factors`` for
-    the roundoff it drops), and each panel applies Q_p^H to F's w + b rows
-    alone.  A's iterates, and so every rank decision, never read C.
+    travels as the factors F = [L_k, R_k] of C_k = L_k R_k^H, from the
+    package's one form of C (n x 16 for a C of rank at most 8 up to
+    roundoff, else [C, I]; see ``matcore._perturbation_factors``), and
+    each panel applies Q_p^H to F's w + b rows alone.  A's iterates, and so every rank decision, never read C.
 
     Per step the report records, for each block row i < p - 2 of the initial
     profile (rows end at r_{i+1}, block i + 2 starts at column c_{i+2}), the
@@ -264,7 +247,7 @@ def qr_iteration_tracked(
     discarded = fro(A[below])
     A[below] = 0
     bounds = np.cumsum((0,) + profile.block_sizes).tolist()
-    F = _perturbation_factors(C)
+    F = np.hstack(_perturbation_factors(C)[:2])
     L, R = np.hsplit(F, 2)
     eigs: list[complex] = []
     m = n

@@ -183,7 +183,7 @@ _CERTIFY_CASES = [
     for family in ("arrow", "unitary", "companion", "colleague", "circle", "line")
     for n in (8, 64, 256)
 ] + [("solved", 8), ("solved", 16), ("solved", 64), ("solved", 256)] + [
-    ("arrow", 512), ("unitary", 512), ("full-rank", 64)]
+    ("arrow", 512), ("unitary", 512), ("full-rank", 64), ("full-rank", 512)]
 
 
 class TestCertifyAgainstFullSvd:

@@ -577,9 +577,9 @@ class TestSkewOutsideStart:
 
 
 class TestPerturbationFactors:
-    """``reduce`` forms C_trid from the factors of C's rank-8 sketch when the
-    sketch holds C, and U^H C U otherwise; ``certify`` evaluates one dense
-    commutator when the sketch holds C, and two otherwise."""
+    """``reduce`` forms C_trid = (L^H U)^H (R^H U) from ``matcore``'s one
+    form C = L R^H: the factors of C's rank-8 sketch when it holds C, else
+    (C, I); ``certify`` evaluates one dense commutator for every C."""
 
     @pytest.mark.parametrize("family", ["arrow", "unitary"])
     def test_factored_c_trid_within_roundoff(self, tmp_path, family):
@@ -600,6 +600,27 @@ class TestPerturbationFactors:
         C, U = read_matrix(gen / "C.mtx"), read_matrix(red / "U.mtx")
         assert np.array_equal(read_matrix(red / "C_trid.mtx"), U.conj().T @ C @ U)
 
+    @pytest.mark.parametrize("family, n, blocks", [
+        ("unitary", 4, [4]), ("unitary", 6, [4, 2]), ("unitary", 8, [4, 4]),
+        ("companion", 4, [4]), ("companion", 5, [4, 1]), ("companion", 6, [4, 2]),
+        ("companion", 7, [4, 3]), ("companion", 8, [4, 4]),
+    ])
+    def test_small_orders_take_the_exact_pair(self, tmp_path, family, n, blocks):
+        """At n <= 8, beneath the sketch, C comes as (C, I): the pipeline
+        keeps its exit codes and block sizes, and C_trid is U^H C U to
+        roundoff."""
+        gen, red = tmp_path / "gen", tmp_path / "red"
+        size = (("--coeffs", _coeff_arg(_companion_coeffs(n, 0))) if family == "companion"
+                else ("--n", str(n)))
+        assert run("generate", "--family", family, *size, "--out", str(gen)) == 0
+        assert run("reduce", str(gen), "--out", str(red)) == 0
+        assert load_report(red / "report.json")["block_sizes"] == blocks
+        assert run("qr-track", str(red / "A_trid.mtx"), str(red / "C_trid.mtx"),
+                   "--out", str(tmp_path / "track.json")) == 0
+        C, U = read_matrix(gen / "C.mtx"), read_matrix(red / "U.mtx")
+        gap = fro(read_matrix(red / "C_trid.mtx") - U.conj().T @ C @ U)
+        assert gap <= 2 * np.sqrt(n) * np.finfo(np.float64).eps * fro(C)
+
     def test_dense_commutators_per_command(self, tmp_path, monkeypatch):
         calls = []
         commutator = almostnormal.commutator
@@ -613,14 +634,14 @@ class TestPerturbationFactors:
         assert run("generate", "--family", "arrow", "--n", "64", "--seed", "0",
                    "--out", str(gen)) == 0
         assert calls == [2]
-        calls.clear()
-        assert run("verify", str(gen / "A.mtx"), str(gen / "C.mtx")) == 0
-        assert calls == [2]
-        calls.clear()
-        dense = tmp_path / "dense.mtx"
+        zero, dense = tmp_path / "zero.mtx", tmp_path / "dense.mtx"
+        write_matrix(zero, np.zeros((64, 64)))
         write_matrix(dense, crandn(np.random.default_rng(9), 64, 64))
-        assert run("verify", str(gen / "A.mtx"), str(dense)) == 2
-        assert calls == [2, 1]
+        # rank 2 (held by the sketch), zero and full rank (the pair (C, I))
+        for c, code in ((gen / "C.mtx", 0), (zero, 2), (dense, 2)):
+            calls.clear()
+            assert run("verify", str(gen / "A.mtx"), str(c)) == code
+            assert calls == [2]
 
 
 class TestVerify:

@@ -26,7 +26,7 @@ from blocktrid import (
     structure,
 )
 from blocktrid.cli import main
-from blocktrid.matcore import _estimated_commutator_residual, _sketch
+from blocktrid.matcore import _estimated_commutator_residual, _perturbation_factors, _sketch
 from blocktrid.mmio import read_matrix, write_matrix
 
 from helpers import colleague_coeffs, companion_coeffs, crandn, planted_tridiagonal
@@ -757,19 +757,25 @@ class TestFactoredPerturbation:
         np.testing.assert_allclose(rep.c_residual, exact, rtol=0, atol=1e-14)
 
     def test_reduced_perturbation_takes_sixteen_columns(self):
+        """``matcore``'s one rule gives a reduced C the 64 x 8 factors of
+        its sketch, F = [L, R] of 16 columns, and the zero C none."""
         A, C = reduced_unitary(64, 1)
-        F = structure._perturbation_factors(C)
-        assert F.shape == (64, 16)
-        L, R = np.hsplit(F, 2)
+        L, R, sketch = _perturbation_factors(C)
+        assert L.shape == R.shape == (64, 8)
+        assert np.hstack((L, R)).shape == (64, 16)
+        assert sketch is not None and sketch[0] is L
         eps = np.finfo(np.float64).eps
         assert fro(C - L @ R.conj().T) <= np.sqrt(64) * eps * fro(C)
+        L, R, sketch = _perturbation_factors(np.zeros_like(C))
+        assert L.shape == R.shape == (64, 0) and sketch is None
 
     @pytest.mark.parametrize("n, perturbation", [
         (16, "adjoint-difference"), (8, "rank-one"), (5, "rank-one"),
     ])
     def test_fallback_carries_c_and_identity(self, n, perturbation):
         """A C of full rank 16, above the sketch's 8 columns, and any C of
-        order at most 8 travel as [C, I]."""
+        order at most 8 come as the exact pair (C, I) from ``matcore``'s
+        one rule, and travel as [C, I]."""
         from blocktrid import svd
 
         A = planted_tridiagonal(n)
@@ -779,9 +785,9 @@ class TestFactoredPerturbation:
         else:
             rng = np.random.default_rng(n)
             C = np.outer(crandn(rng, n), crandn(rng, n).conj())
-        F = structure._perturbation_factors(C)
-        assert F.shape == (n, 2 * n)
-        assert np.array_equal(F, np.hstack((C, np.eye(n))))
+        L, R, _ = _perturbation_factors(C)
+        assert np.array_equal(L, C)
+        assert np.array_equal(R, np.eye(n))
         rep = qr_iteration_tracked(A, C, 3)
         assert [f.shape for f in rep.perturbation_factors] == [(n, n)] * 2
 
